@@ -113,7 +113,7 @@ bench-all:
 # Gateway benchmark baseline: contended end-to-end throughput (32 parallel
 # closed-loop submitters per GOMAXPROCS against 1/4/8 serving replicas —
 # replicas=1 is the old single-lock architecture's ceiling) plus the
-# per-token fan-out micro-benchmark, folded into the committed
+# token fan-out micro-benchmark, folded into the committed
 # BENCH_PR5.json with the single-lock vs sharded req/s recorded as meta.
 BENCH5OUT ?= BENCH_PR5.json
 bench-pr5:
@@ -186,34 +186,28 @@ bench-pr8:
 		/tmp/bench_transfer.txt
 	@echo "wrote $(BENCH8OUT)"
 
-# Token-path benchmark baseline (PR 10): the same contended closed-loop
-# workload against 8 replicas in both delivery modes. Unbatched
-# (EventFrame=0) is the PR 8 configuration — a fresh request, stream
-# entry, and per-token channel per submission; the batched-frame run
-# recycles all three through free lists and coalesces each iteration's
-# tokens into one pooled frame, so allocs/op must drop to 0. The headline
-# before/after req/s, TTFT p50/p90, and allocs/req land in BENCH_PR10.json
-# as meta alongside the raw benchmark entries benchgate diffs.
+# Token-path benchmark baseline (PR 10): the contended closed-loop workload
+# against 8 replicas with the request, stream entry, and event frames
+# recycled through free lists and each iteration's tokens coalesced into
+# one pooled frame, so allocs/op must stay at 0. The headline req/s, TTFT
+# p50/p90, and allocs/req land in BENCH_PR10.json as meta alongside the raw
+# benchmark entries benchgate diffs.
 BENCH10OUT  ?= BENCH_PR10.json
 BENCH10TIME ?= 2s
 bench-pr10:
-	$(GO) test -run '^$$' -bench 'GatewayUnbatchedReplicas8|GatewayFrameReplicas8' -benchmem \
+	$(GO) test -run '^$$' -bench 'GatewayFrameReplicas8' -benchmem \
 		-benchtime $(BENCH10TIME) ./internal/server/ | tee /tmp/bench_tokenpath.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH10OUT) \
-		-meta note="32 parallel closed-loop submitters, Q2 512/2, 8 replicas; unbatched = PR 8 per-token channels, frame = EventFrame 16 pooled frames" \
-		-meta unbatched_req_s="$$(awk '/GatewayUnbatchedReplicas8/{for(i=2;i<=NF;i++)if($$i=="req/s")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
+		-meta note="32 parallel closed-loop submitters, Q2 512/2, 8 replicas, EventFrame 16 pooled frames" \
 		-meta frame_req_s="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="req/s")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
-		-meta unbatched_ttft_p50_ms="$$(awk '/GatewayUnbatchedReplicas8/{for(i=2;i<=NF;i++)if($$i=="ttft_p50_ms")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
 		-meta frame_ttft_p50_ms="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="ttft_p50_ms")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
-		-meta unbatched_ttft_p90_ms="$$(awk '/GatewayUnbatchedReplicas8/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
 		-meta frame_ttft_p90_ms="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
-		-meta unbatched_allocs_per_req="$$(awk '/GatewayUnbatchedReplicas8/{for(i=2;i<=NF;i++)if($$i=="allocs/op")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
 		-meta frame_allocs_per_req="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="allocs/op")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
 		/tmp/bench_tokenpath.txt
 	@echo "wrote $(BENCH10OUT)"
 
 # Benchmark regression gate for `verify`/CI: re-measure the PR 10
-# token-path pair in a short pass and diff against the committed
+# token-path benchmark in a short pass and diff against the committed
 # BENCH_PR10.json with cmd/benchgate. Timing tolerance is generous (the
 # gate hunts structural regressions, not scheduler noise on shared CI
 # machines); allocs/op is tight, and a 0-alloc baseline allows no growth
@@ -222,7 +216,7 @@ GATETIME      ?= 1s
 GATETOL       ?= 0.6
 GATETOLALLOCS ?= 0.3
 bench-gate:
-	$(GO) test -run '^$$' -bench 'GatewayUnbatchedReplicas8|GatewayFrameReplicas8' -benchmem \
+	$(GO) test -run '^$$' -bench 'GatewayFrameReplicas8' -benchmem \
 		-benchtime $(GATETIME) ./internal/server/ | tee /tmp/bench_gate_fresh.txt
 	$(GO) run ./cmd/benchjson -o /tmp/BENCH_PR10_fresh.json -meta mode=gate /tmp/bench_gate_fresh.txt
 	$(GO) run ./cmd/benchgate -baseline $(BENCH10OUT) -current /tmp/BENCH_PR10_fresh.json \

@@ -389,9 +389,8 @@ func execute(target Target, spec Spec, g genReq) outcome {
 	if err != nil {
 		return outcome{class: g.class}
 	}
-	// Drain to completion via Recv, which works in both the per-token and
-	// the batched-frame delivery modes; overflow drops mean fewer events
-	// here, never a stall.
+	// Drain to completion via Recv; overflow drops mean fewer events here,
+	// never a stall.
 	for {
 		if _, ok := stream.Recv(); !ok {
 			break

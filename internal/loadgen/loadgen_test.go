@@ -128,47 +128,6 @@ func TestClosedLoopReplayIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFrameDeliveryEquivalence replays the same seeded workload against an
-// unbatched gateway (per-token channels) and a batched-frame gateway
-// (server.Config.EventFrame) and requires the deterministic tallies to be
-// identical: frame coalescing changes how events travel, never which
-// requests complete, violate, or relegate.
-func TestFrameDeliveryEquivalence(t *testing.T) {
-	spec := testSpec(Closed)
-	run := func(eventFrame int) Report {
-		srv, err := server.New(server.Config{
-			Model:            model.Llama3_8B_A100_TP1(),
-			SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
-			Replicas:         2,
-			Classes:          qos.Table3(),
-			Timescale:        200,
-			EventFrame:       eventFrame,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		rep, err := Run(context.Background(), srv, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	plain, framed := run(0), run(4)
-	if plain.Completed != spec.Requests || plain.Errors != 0 {
-		t.Fatalf("unbatched run: completed %d of %d, %d errors", plain.Completed, spec.Requests, plain.Errors)
-	}
-	if framed.Completed != plain.Completed || framed.Violated != plain.Violated ||
-		framed.Relegated != plain.Relegated || framed.Tokens != plain.Tokens {
-		t.Fatalf("delivery modes diverged: unbatched completed=%d violated=%d relegated=%d tokens=%d, batched completed=%d violated=%d relegated=%d tokens=%d",
-			plain.Completed, plain.Violated, plain.Relegated, plain.Tokens,
-			framed.Completed, framed.Violated, framed.Relegated, framed.Tokens)
-	}
-	if !reflect.DeepEqual(plain.PerClass, framed.PerClass) {
-		t.Fatalf("per-class tallies diverged: unbatched %+v, batched %+v", plain.PerClass, framed.PerClass)
-	}
-}
-
 // TestOpenLoopCompletesAll exercises the Poisson pacer end to end.
 func TestOpenLoopCompletesAll(t *testing.T) {
 	spec := testSpec(Open)

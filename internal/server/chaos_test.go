@@ -12,6 +12,26 @@ import (
 	"qoserve/internal/sched"
 )
 
+// failedReason looks up a finished request's failure reason in the
+// gateway's outcome ledger; every finished request must be there exactly
+// once.
+func failedReason(t *testing.T, srv *Server, id uint64) string {
+	t.Helper()
+	srv.finMu.Lock()
+	defer srv.finMu.Unlock()
+	reason, n := "", 0
+	for _, o := range srv.doneOut {
+		if o.ID == id {
+			reason = o.FailedReason
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("request %d appears %d times in the outcome ledger, want 1", id, n)
+	}
+	return reason
+}
+
 // Chaos coverage for the disaggregated gateway: crash the prefill tier at
 // the worst moments and assert the no-silent-drop contract — every
 // accepted request either completes on the decode tier or fails with a
@@ -73,13 +93,9 @@ func TestChaosPrefillCrashMidTransferNoSilentDrop(t *testing.T) {
 		wg.Add(1)
 		go func(i int, st *Stream) {
 			defer wg.Done()
-			for ev := range st.Events {
-				outcomes[i].tokens = ev.Token
-				if ev.Done {
-					outcomes[i].gotDone = true
-				}
-			}
-			outcomes[i].failed = st.req.FailedReason
+			evs := drain(t, st)
+			last := evs[len(evs)-1]
+			outcomes[i] = outcome{gotDone: last.Done, tokens: last.Token, failed: failedReason(t, srv, st.ID)}
 		}(i, st)
 	}
 	done := make(chan struct{})
@@ -93,7 +109,7 @@ func TestChaosPrefillCrashMidTransferNoSilentDrop(t *testing.T) {
 	completed, failed := 0, 0
 	for i, o := range outcomes {
 		if !o.gotDone {
-			t.Fatalf("request %d: stream closed without a Done event", i)
+			t.Fatalf("request %d: stream ended without a Done event", i)
 		}
 		switch {
 		case o.failed != "":
@@ -158,12 +174,10 @@ func TestChaosCrashFailsOverToHealthyPrefillReplica(t *testing.T) {
 		wg.Add(1)
 		go func(st *Stream) {
 			defer wg.Done()
-			last := Event{}
-			for ev := range st.Events {
-				last = ev
-			}
+			evs := drain(t, st)
+			last := evs[len(evs)-1]
 			switch {
-			case st.req.FailedReason != "":
+			case failedReason(t, srv, st.ID) != "":
 				failed.Add(1)
 			case last.Done && last.Token == 3:
 				completed.Add(1)
@@ -200,11 +214,8 @@ func TestChaosCrashFailsOverToHealthyPrefillReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := Event{}
-	for ev := range st.Events {
-		last = ev
-	}
-	if !last.Done || last.Token != 2 {
+	evs := drain(t, st)
+	if last := evs[len(evs)-1]; !last.Done || last.Token != 2 {
 		t.Fatalf("post-crash submission did not complete: %+v", last)
 	}
 }

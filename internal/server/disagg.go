@@ -113,14 +113,7 @@ func (s *Server) submitDisagg(req *request.Request, entry *streamEntry, st *Stre
 		return ErrNoHealthyReplica
 	}
 	s.accepted.Add(1)
-	*st = Stream{ID: id, srv: s}
-	if entry.frames != nil {
-		st.entry = entry
-	} else {
-		st.Events = entry.events
-		st.req = req
-		st.rep = s.reps[home]
-	}
+	*st = Stream{ID: id, srv: s, entry: entry}
 	return nil
 }
 
@@ -265,7 +258,7 @@ func (s *Server) deliverHandoff(src *gatewayReplica, h pendingHandoff) {
 // replica, or permanently fails it once the retry budget is exhausted or
 // no healthy replica remains. The original request's state is reset under
 // its decode home's lock — the home loop has never seen the request, so
-// that lock only fences concurrent Stream.Result readers.
+// that lock only fences the metrics scanners reading the live set.
 func (s *Server) retryOrFail(h pendingHandoff, cause string) {
 	home := s.reps[h.home]
 	home.mu.Lock()
@@ -286,10 +279,10 @@ func (s *Server) retryOrFail(h pendingHandoff, cause string) {
 // failRequest permanently fails a request that could not be served. The
 // stream still receives a final Done event (the result reports the
 // failure as an SLO violation) so no consumer is left hanging and no
-// request is silently dropped. The outcome is frozen into the finished
-// ledger before the final event ships, exactly like sendFinalFrame; the
-// request object itself is not recycled (the consumer's Stream may still
-// reference it), it just leaves the live set.
+// request is silently dropped. Exactly like flushFrames, the request is
+// retired — outcome frozen into the finished ledger, load and in-flight
+// released — before the final frame ships. The request object is not
+// recycled on this cold path; it just leaves the live set.
 //
 //qoserve:outcome complete
 func (s *Server) failRequest(h pendingHandoff, reason string) {
@@ -307,49 +300,29 @@ func (s *Server) failRequest(h pendingHandoff, reason string) {
 	s.doneOut = append(s.doneOut, metrics.OutcomeOf(h.orig, end))
 	s.finMu.Unlock()
 	e.req = nil
-	if e.frames != nil {
-		// No serving loop ever registered this entry, so its staged frame
-		// was never queued: recycle it and ship the final event in a fresh
-		// frame, evicting stale frames until it fits (this goroutine is the
-		// only sender).
-		if e.staged != nil {
-			s.recycleFrame(e.staged)
-			e.staged = nil
-		}
-		f := append(s.newFrame(), final)
-		for {
-			select {
-			case e.frames <- f:
-				home.load.Add(-1)
-				if s.inFlight.Add(-1) == 0 {
-					s.kickDrain()
-				}
-				return
-			default:
-			}
-			select {
-			case old := <-e.frames:
-				s.droppedEvents.Add(uint64(len(old)))
-				s.recycleFrame(old)
-			default:
-			}
-		}
+	home.load.Add(-1)
+	if s.inFlight.Add(-1) == 0 {
+		s.kickDrain()
 	}
-	// Unbatched: evict stale events until the final one fits, then close.
+	// No serving loop ever registered this entry, so its staged frame was
+	// never queued: recycle it and ship the final event in a fresh frame,
+	// evicting stale frames until it fits (this goroutine is the only
+	// sender).
+	if e.staged != nil {
+		s.recycleFrame(e.staged)
+		e.staged = nil
+	}
+	f := append(s.newFrame(), final)
 	for {
 		select {
-		case e.events <- final:
-			close(e.events)
-			home.load.Add(-1)
-			if s.inFlight.Add(-1) == 0 {
-				s.kickDrain()
-			}
+		case e.frames <- f:
 			return
 		default:
 		}
 		select {
-		case <-e.events:
-			s.droppedEvents.Add(1)
+		case old := <-e.frames:
+			s.droppedEvents.Add(uint64(len(old)))
+			s.recycleFrame(old)
 		default:
 		}
 	}
@@ -436,7 +409,7 @@ func (rp *gatewayReplica) runDecode() {
 		rp.mu.Unlock()
 
 		// Compact before finishIteration: it reads each request's phase,
-		// and finalizeDone may recycle finished requests (batched mode).
+		// and finalizeDone recycles finished requests.
 		keep := rp.decQ[:0]
 		for _, r := range rp.decQ {
 			if r.Phase() != request.Done {

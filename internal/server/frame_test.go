@@ -14,15 +14,16 @@ import (
 	"qoserve/internal/sim"
 )
 
-// newFrameServer is newTestServer with batched event frames enabled.
+// newFrameServer is newTestServer with an explicit event-frame size (zero
+// keeps the default).
 func newFrameServer(t *testing.T, s sched.Scheduler, frame int) *Server {
 	t.Helper()
 	srv, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  s,
-		Classes:    qos.Table3(),
-		Timescale:  2000,
-		EventFrame: frame,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return s },
+		Classes:          qos.Table3(),
+		Timescale:        2000,
+		EventFrame:       frame,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,30 +32,20 @@ func newFrameServer(t *testing.T, s sched.Scheduler, frame int) *Server {
 	return srv
 }
 
-// TestFrameStreamsTokens is TestServerStreamsTokens under batched
-// delivery: a tiny frame size forces multi-frame streams, and the Recv
-// contract (every token observed or dropped-with-skips, final Done always
-// last, frozen Result afterwards) must hold exactly as in unbatched mode.
+// TestFrameStreamsTokens is TestServerStreamsTokens with a tiny frame
+// size that forces multi-frame streams: the Recv contract (every token
+// observed or dropped-with-skips, final Done always last, frozen Result
+// afterwards) must hold across frame boundaries.
 func TestFrameStreamsTokens(t *testing.T) {
 	srv := newFrameServer(t, qoserveSched(), 2)
 	var stream Stream
 	if err := srv.SubmitTo(Submission{Class: "Q1", PromptTokens: 500, DecodeTokens: 5}, &stream); err != nil {
 		t.Fatal(err)
 	}
-	if stream.Events != nil {
-		t.Fatal("batched stream exposes an Events channel")
+	if res := stream.Result(); res != (Result{}) {
+		t.Errorf("result before Done = %+v, want zero", res)
 	}
-	var events []Event
-	for {
-		ev, ok := stream.Recv()
-		if !ok {
-			break
-		}
-		events = append(events, ev)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events received")
-	}
+	events := drain(t, &stream)
 	last := events[len(events)-1]
 	if !last.Done || last.Token != 5 {
 		t.Fatalf("final event = %+v, want Done with token 5", last)
@@ -98,15 +89,8 @@ func TestFrameConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			last := Event{}
-			for {
-				ev, ok := stream.Recv()
-				if !ok {
-					break
-				}
-				last = ev
-			}
-			if !last.Done || last.Token != 4 {
+			evs := drain(t, stream)
+			if last := evs[len(evs)-1]; !last.Done || last.Token != 4 {
 				errs <- context.DeadlineExceeded
 			}
 		}()
@@ -136,11 +120,12 @@ func TestFrameConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestFrameFinalEventIdentity submits the same workload to an unbatched
-// and a batched gateway and checks that every stream's final event is
-// identical in both modes (token index and Done flag; timing is
-// wall-clock-dependent and excluded). This is the delivery-equivalence
-// half of the seeded-replay test in internal/loadgen.
+// TestFrameFinalEventIdentity submits the same workload to a gateway
+// delivering one event per frame and to one coalescing up to three, and
+// checks that every stream's final event is identical under both frame
+// sizes (token index and Done flag; timing is wall-clock-dependent and
+// excluded): coalescing changes how events travel, never how a stream
+// ends.
 func TestFrameFinalEventIdentity(t *testing.T) {
 	specs := []struct {
 		class          string
@@ -149,17 +134,13 @@ func TestFrameFinalEventIdentity(t *testing.T) {
 		{"Q1", 500, 5}, {"Q2", 900, 3}, {"Q3", 1400, 8},
 		{"Q1", 200, 1}, {"Q2", 4000, 2}, {"Q3", 300, 6},
 	}
-	finals := func(batched bool) []Event {
-		frame := 0
-		if batched {
-			frame = 3
-		}
+	finals := func(frame int) []Event {
 		srv, err := New(Config{
-			Model:      model.Llama3_8B_A100_TP1(),
-			Scheduler:  qoserveSched(),
-			Classes:    qos.Table3(),
-			Timescale:  2000,
-			EventFrame: frame,
+			Model:            model.Llama3_8B_A100_TP1(),
+			SchedulerFactory: qoserveSched,
+			Classes:          qos.Table3(),
+			Timescale:        2000,
+			EventFrame:       frame,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -176,26 +157,21 @@ func TestFrameFinalEventIdentity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for {
-					ev, ok := stream.Recv()
-					if !ok {
-						break
-					}
-					out[i] = ev
-				}
+				evs := drain(t, stream)
+				out[i] = evs[len(evs)-1]
 			}()
 		}
 		wg.Wait()
 		return out
 	}
-	plain, framed := finals(false), finals(true)
+	single, framed := finals(1), finals(3)
 	for i := range specs {
-		if !plain[i].Done || !framed[i].Done {
-			t.Fatalf("request %d missing Done: unbatched %+v, batched %+v", i, plain[i], framed[i])
+		if !single[i].Done || !framed[i].Done {
+			t.Fatalf("request %d missing Done: frame 1 %+v, frame 3 %+v", i, single[i], framed[i])
 		}
-		if plain[i].Token != framed[i].Token {
-			t.Errorf("request %d final token differs: unbatched %d, batched %d",
-				i, plain[i].Token, framed[i].Token)
+		if single[i].Token != framed[i].Token {
+			t.Errorf("request %d final token differs: frame 1 %d, frame 3 %d",
+				i, single[i].Token, framed[i].Token)
 		}
 		if framed[i].Token != specs[i].decode {
 			t.Errorf("request %d final token = %d, want %d", i, framed[i].Token, specs[i].decode)
@@ -203,34 +179,39 @@ func TestFrameFinalEventIdentity(t *testing.T) {
 	}
 }
 
-// TestFrameConfigValidation covers the EventFrame/FrameBuffer knobs.
+// TestFrameConfigValidation covers the EventFrame knob and the derived
+// frame-channel depth, max(2, StreamBuffer/EventFrame).
 func TestFrameConfigValidation(t *testing.T) {
-	base := Config{Model: model.Llama3_8B_A100_TP1(), Scheduler: &untraceable{}, Classes: qos.Table3()}
+	base := Config{
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return &untraceable{} },
+		Classes:          qos.Table3(),
+	}
 
 	cfg := base
 	cfg.EventFrame = -1
 	if _, err := New(cfg); err == nil {
 		t.Error("negative EventFrame accepted")
 	}
-	cfg = base
-	cfg.FrameBuffer = -1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative FrameBuffer accepted")
-	}
-	cfg = base
-	cfg.FrameBuffer = 4
-	if _, err := New(cfg); err == nil {
-		t.Error("FrameBuffer without EventFrame accepted")
-	}
-	cfg = base
-	cfg.EventFrame = 16
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.frameBuf < 2 {
-		t.Errorf("derived frame buffer %d, want >= 2", srv.frameBuf)
+	for _, tc := range []struct {
+		streamBuf, frame     int
+		wantFrame, wantDepth int
+	}{
+		{0, 0, 16, 16}, // both defaults: 256/16
+		{64, 4, 4, 16},
+		{8, 0, 16, 2}, // floor of two frames
+	} {
+		cfg = base
+		cfg.StreamBuffer, cfg.EventFrame = tc.streamBuf, tc.frame
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		if srv.cfg.EventFrame != tc.wantFrame || srv.frameBuf != tc.wantDepth {
+			t.Errorf("StreamBuffer %d, EventFrame %d: frame %d, depth %d; want %d, %d",
+				tc.streamBuf, tc.frame, srv.cfg.EventFrame, srv.frameBuf, tc.wantFrame, tc.wantDepth)
+		}
 	}
 }
 
@@ -241,9 +222,9 @@ func TestFrameConfigValidation(t *testing.T) {
 // rebuild; small or still-occupied tables must be left alone.
 func TestStreamTableShrink(t *testing.T) {
 	srv, err := New(Config{
-		Model:     model.Llama3_8B_A100_TP1(),
-		Scheduler: &untraceable{},
-		Classes:   qos.Table3(),
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return &untraceable{} },
+		Classes:          qos.Table3(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,18 +302,18 @@ func (o *oneShot) OnBatchComplete(b sched.Batch, _ sim.Time) { o.n -= len(b.Pref
 func (o *oneShot) Pending() int                              { return o.n }
 
 // TestFrameSubmitRecvAllocFree extends the steady-state allocation guard
-// across the whole batched token path: SubmitTo with a recycled Stream,
+// across the whole token path: SubmitTo with a recycled Stream,
 // admission, planning, completion, outcome freezing, frame delivery, and
 // Recv must together allocate nothing once the pools are warm. The serving
 // loop runs concurrently and testing.AllocsPerRun counts global mallocs,
 // so this covers the loop goroutine too.
 func TestFrameSubmitRecvAllocFree(t *testing.T) {
 	srv, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  newOneShot(),
-		Classes:    qos.Table3(),
-		Timescale:  100000,
-		EventFrame: 4,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return newOneShot() },
+		Classes:          qos.Table3(),
+		Timescale:        100000,
+		EventFrame:       4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +350,6 @@ func TestFrameSubmitRecvAllocFree(t *testing.T) {
 	}
 	srv.finMu.Unlock()
 	if allocs := testing.AllocsPerRun(300, step); allocs != 0 {
-		t.Fatalf("batched submit+recv path allocates %.1f times per request, want 0", allocs)
+		t.Fatalf("submit+recv path allocates %.1f times per request, want 0", allocs)
 	}
 }

@@ -22,28 +22,17 @@ import (
 func newTracedServer(t *testing.T, s sched.Scheduler, depth int) *Server {
 	t.Helper()
 	srv, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  s,
-		Classes:    qos.Table3(),
-		Timescale:  2000,
-		TraceDepth: depth,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return s },
+		Classes:          qos.Table3(),
+		Timescale:        2000,
+		TraceDepth:       depth,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	return srv
-}
-
-// serveOne submits a request and waits for its stream to finish.
-func serveOne(t *testing.T, srv *Server, sub Submission) {
-	t.Helper()
-	stream, err := srv.Submit(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range stream.Events {
-	}
 }
 
 // promLine matches one Prometheus text sample: name{labels} value.
@@ -141,10 +130,10 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 // feeds appear on /metrics.
 func TestMetricsFaultStatus(t *testing.T) {
 	srv, err := New(Config{
-		Model:     model.Llama3_8B_A100_TP1(),
-		Scheduler: qoserveSched(),
-		Classes:   qos.Table3(),
-		Timescale: 2000,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: qoserveSched,
+		Classes:          qos.Table3(),
+		Timescale:        2000,
 		FaultStatus: func() FaultStatus {
 			return FaultStatus{
 				Replicas: []ReplicaHealth{
@@ -414,19 +403,19 @@ func (u *untraceable) Pending() int                          { return u.pending 
 
 func TestTraceDepthRequiresTraceableScheduler(t *testing.T) {
 	_, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  &untraceable{},
-		Classes:    qos.Table3(),
-		TraceDepth: 16,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: func() sched.Scheduler { return &untraceable{} },
+		Classes:          qos.Table3(),
+		TraceDepth:       16,
 	})
 	if err == nil {
 		t.Fatal("untraceable scheduler accepted with TraceDepth set")
 	}
 	if _, err := New(Config{
-		Model:      model.Llama3_8B_A100_TP1(),
-		Scheduler:  qoserveSched(),
-		Classes:    qos.Table3(),
-		TraceDepth: -1,
+		Model:            model.Llama3_8B_A100_TP1(),
+		SchedulerFactory: qoserveSched,
+		Classes:          qos.Table3(),
+		TraceDepth:       -1,
 	}); err == nil {
 		t.Fatal("negative TraceDepth accepted")
 	}

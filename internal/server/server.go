@@ -22,17 +22,15 @@
 // return immediately; the loop swaps the whole inbox out once per
 // iteration. Per-iteration token accounting runs under the replica's
 // scheduler lock, but no channel operation ever happens under any lock:
-// events are staged under the lock and delivered afterwards with
-// non-blocking sends — per token in the default mode, or coalesced into
-// per-iteration event frames when Config.EventFrame is set (see
-// stream.go). Slow consumers lose intermediate token events (counted in
+// each stream's tokens are staged under the lock into one per-iteration
+// event frame and delivered afterwards with a non-blocking send (see
+// stream.go). Slow consumers lose stale frames (their events counted in
 // qoserve_stream_dropped_events_total) but never the final one, so the
 // batch loop can never be stalled by a client. Idle loops park on a
 // 1-buffered notify channel kicked by admission, fault recovery, handoff
-// delivery, and Close — no polling. Lifetime counters are atomics; the
-// steady-state per-token path allocates nothing, and with event frames
-// enabled the request, stream-entry, and frame objects recycle through
-// free lists so a warm gateway serves without allocating at all.
+// delivery, and Close — no polling. Lifetime counters are atomics, and the
+// request, stream-entry, and frame objects recycle through free lists, so
+// a warm gateway serves without allocating at all.
 package server
 
 import (
@@ -91,12 +89,8 @@ type Event struct {
 // Config configures a real-time server.
 type Config struct {
 	Model model.Config
-	// Scheduler serves the requests on a single-replica server; it must
-	// not be shared. Mutually exclusive with SchedulerFactory.
-	Scheduler sched.Scheduler
-	// SchedulerFactory builds one independent scheduler per replica; it is
-	// required when Replicas > 1 (each serving loop must own its policy
-	// state) and may also be used for a single replica.
+	// SchedulerFactory builds one independent scheduler per replica (each
+	// serving loop must own its policy state). Required.
 	SchedulerFactory func() sched.Scheduler
 	// Replicas is the number of independent serving loops (default 1).
 	// Throughput scales with replicas: each loop "executes" its batches
@@ -130,23 +124,15 @@ type Config struct {
 	// both modes; distinct from TransferBandwidth, the disagg
 	// prefill->decode handoff fabric.
 	KVTransferBandwidth float64
-	// StreamBuffer bounds each stream's event buffer (default 256 events,
-	// additionally capped at the request's DecodeTokens+1). See Stream for
-	// the overflow contract. With EventFrame set it only sizes the derived
-	// FrameBuffer default.
+	// StreamBuffer bounds each stream's buffered events (default 256): the
+	// frame channel holds max(2, StreamBuffer/EventFrame) frames, and a
+	// consumer that falls that many frames behind loses the oldest ones.
+	// See Stream for the overflow contract.
 	StreamBuffer int
-	// EventFrame switches the gateway to batched event delivery: all
-	// tokens a stream produced in one iteration coalesce into a single
-	// pooled frame of up to this many events, delivered over a small
-	// bounded channel, and the per-request Request/entry/frame objects
-	// recycle through free lists. Zero (the default) keeps the original
-	// per-token channel contract on Stream.Events; Stream.Recv works in
-	// both modes. See stream.go for the frame lifecycle.
+	// EventFrame is the most events one delivery frame holds (default
+	// 16): all tokens a stream produced since its last delivery coalesce
+	// into a single pooled frame. See stream.go for the frame lifecycle.
 	EventFrame int
-	// FrameBuffer is each stream's frame-channel depth in batched mode
-	// (default max(2, StreamBuffer/EventFrame)). A consumer that falls
-	// this many frames behind loses the oldest ones. Requires EventFrame.
-	FrameBuffer int
 	// Classes that submissions may reference.
 	Classes []qos.Class
 	// Timescale accelerates virtual time relative to wall time (e.g.
@@ -282,11 +268,10 @@ type Server struct {
 	live    map[uint64]*request.Request // guarded by finMu
 	doneOut []metrics.Outcome           // guarded by finMu
 
-	// frameBuf is the per-stream frame-channel depth; 0 means unbatched
-	// delivery. Immutable after New.
+	// frameBuf is the per-stream frame-channel depth. Immutable after New.
 	frameBuf int
-	// Free lists for batched mode (nil otherwise): recycled requests,
-	// stream entries, and event frames. See stream.go.
+	// Free lists of recycled requests, stream entries, and event frames.
+	// See stream.go.
 	reqPool   chan *request.Request
 	entryPool chan *streamEntry
 	framePool chan []Event
@@ -374,8 +359,7 @@ type gatewayReplica struct {
 	drained     []admission             // inbox swap buffer
 	streams     map[uint64]*streamEntry // live streams by request ID
 	streamsPeak int                     // high-water mark since last shrink
-	outbox      []delivery              // unbatched: events staged under mu
-	sendQ       []*streamEntry          // batched: entries with staged frames
+	sendQ       []*streamEntry          // entries with staged frames
 	finalQ      []*streamEntry          // streams finished this iteration
 	releaseQ    []uint64                // prefix pins released this iteration
 	spares      [][]Event               // pre-stocked frames for flushFrames
@@ -413,14 +397,6 @@ type pendingHandoff struct {
 	home  int // decode-tier replica index, fixed at submission
 }
 
-// delivery is one staged stream write, assembled under the scheduler lock
-// and sent after it is released.
-type delivery struct {
-	events chan Event
-	ev     Event
-	id     uint64 // stream to retire when ev.Done
-}
-
 // New validates the configuration and starts the serving loops.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.Model.Validate(); err != nil {
@@ -432,24 +408,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Replicas < 0 {
 		return nil, fmt.Errorf("server: negative replica count")
 	}
-	if cfg.Scheduler != nil && cfg.SchedulerFactory != nil {
-		return nil, fmt.Errorf("server: both Scheduler and SchedulerFactory set")
+	if cfg.SchedulerFactory == nil {
+		return nil, fmt.Errorf("server: nil SchedulerFactory")
 	}
 	scheds := make([]sched.Scheduler, cfg.Replicas)
-	switch {
-	case cfg.SchedulerFactory != nil:
-		for i := range scheds {
-			if scheds[i] = cfg.SchedulerFactory(); scheds[i] == nil {
-				return nil, fmt.Errorf("server: SchedulerFactory returned nil")
-			}
+	for i := range scheds {
+		if scheds[i] = cfg.SchedulerFactory(); scheds[i] == nil {
+			return nil, fmt.Errorf("server: SchedulerFactory returned nil")
 		}
-	case cfg.Scheduler != nil:
-		if cfg.Replicas > 1 {
-			return nil, fmt.Errorf("server: %d replicas require SchedulerFactory (schedulers must not be shared)", cfg.Replicas)
-		}
-		scheds[0] = cfg.Scheduler
-	default:
-		return nil, fmt.Errorf("server: nil scheduler")
 	}
 	if cfg.Timescale == 0 {
 		cfg.Timescale = 1
@@ -466,20 +432,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StreamBuffer < 0 {
 		return nil, fmt.Errorf("server: negative stream buffer")
 	}
+	if cfg.EventFrame == 0 {
+		cfg.EventFrame = 16
+	}
 	if cfg.EventFrame < 0 {
 		return nil, fmt.Errorf("server: negative event frame size")
-	}
-	if cfg.FrameBuffer < 0 {
-		return nil, fmt.Errorf("server: negative frame buffer")
-	}
-	if cfg.FrameBuffer > 0 && cfg.EventFrame == 0 {
-		return nil, fmt.Errorf("server: FrameBuffer requires EventFrame")
-	}
-	if cfg.EventFrame > 0 && cfg.FrameBuffer == 0 {
-		cfg.FrameBuffer = cfg.StreamBuffer / cfg.EventFrame
-		if cfg.FrameBuffer < 2 {
-			cfg.FrameBuffer = 2
-		}
 	}
 	if cfg.TraceDepth < 0 {
 		return nil, fmt.Errorf("server: negative trace depth")
@@ -536,12 +493,10 @@ func New(cfg Config) (*Server, error) {
 		balancer:  cfg.Balancer,
 		live:      make(map[uint64]*request.Request, 256),
 		drainWake: make(chan struct{}, 1),
-	}
-	if cfg.EventFrame > 0 {
-		s.frameBuf = cfg.FrameBuffer
-		s.reqPool = make(chan *request.Request, poolCap)
-		s.entryPool = make(chan *streamEntry, poolCap)
-		s.framePool = make(chan []Event, poolCap)
+		frameBuf:  max(2, cfg.StreamBuffer/cfg.EventFrame),
+		reqPool:   make(chan *request.Request, poolCap),
+		entryPool: make(chan *streamEntry, poolCap),
+		framePool: make(chan []Event, poolCap),
 	}
 	if s.balancer == nil {
 		s.balancer = &cluster.AtomicRoundRobin{}
@@ -646,7 +601,7 @@ func (s *Server) Submit(sub Submission) (*Stream, error) {
 
 // SubmitTo is Submit into a caller-owned Stream, which is overwritten:
 // submission loops that recycle their Stream (the load generator, the
-// gateway benchmarks) stay allocation-free end to end in batched mode.
+// gateway benchmarks) stay allocation-free end to end.
 // The Stream must not be in use by a previous request.
 func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 	cls, ok := s.classes[sub.Class]
@@ -686,19 +641,10 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 	req.PrefixHashes = hashes
 	id := req.ID
 
-	var entry *streamEntry
-	if s.frameBuf > 0 {
-		entry = s.newEntry()
-		entry.id = id
-		entry.req = req
-		entry.staged = s.newFrame()
-	} else {
-		buf := sub.DecodeTokens + 1
-		if buf > s.cfg.StreamBuffer {
-			buf = s.cfg.StreamBuffer
-		}
-		entry = &streamEntry{id: id, req: req, events: make(chan Event, buf)}
-	}
+	entry := s.newEntry()
+	entry.id = id
+	entry.req = req
+	entry.staged = s.newFrame()
 
 	// The request must be reachable by the metrics ledger before any
 	// serving loop can finish it (finalizeDone moves it live -> doneOut).
@@ -735,17 +681,9 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 	rp.kick()
 	s.accepted.Add(1)
 
-	// After the kick the request may complete (and in batched mode be
-	// recycled) at any moment; only the entry pointer and captured id are
-	// safe to touch.
-	*st = Stream{ID: id, srv: s}
-	if entry.frames != nil {
-		st.entry = entry
-	} else {
-		st.Events = entry.events
-		st.req = req
-		st.rep = rp
-	}
+	// After the kick the request may complete (and be recycled) at any
+	// moment; only the entry pointer and captured id are safe to touch.
+	*st = Stream{ID: id, srv: s, entry: entry}
 	return nil
 }
 
@@ -1047,10 +985,10 @@ func (rp *gatewayReplica) admit() bool {
 }
 
 // completeLocked performs the post-execution phase of one iteration: token
-// accounting, lifetime counters, the histogram shard, and event assembly
-// into the loop-owned outbox. No channel operation happens here — flush
-// delivers the outbox after mu is released — and the steady state
-// allocates nothing (TestServeSteadyStateAllocFree).
+// accounting, lifetime counters, the histogram shard, and event staging
+// into each stream's frame. No channel operation happens here —
+// flushFrames delivers the frames after mu is released — and the steady
+// state allocates nothing (TestServeSteadyStateAllocFree).
 //
 //qoserve:hotpath
 //qoserve:locked mu
@@ -1122,9 +1060,8 @@ func (rp *gatewayReplica) completeLocked(b sched.Batch, exec, end sim.Time) {
 }
 
 // stageEvent queues the request's newest token for delivery after mu is
-// released. Unbatched streams get one outbox delivery per token; batched
-// streams append to the entry's staged frame (evicting the oldest staged
-// event when the frame is full and the final token must fit).
+// released: it appends to the entry's staged frame, evicting the oldest
+// staged event when the frame is full and the final token must fit.
 //
 //qoserve:hotpath
 //qoserve:locked mu
@@ -1135,13 +1072,6 @@ func (rp *gatewayReplica) stageEvent(r *request.Request, at sim.Time) {
 	}
 	done := r.Phase() == request.Done
 	ev := Event{Token: r.DecodedTokens, At: at.Duration(), Done: done}
-	if e.frames == nil {
-		rp.outbox = append(rp.outbox, delivery{events: e.events, ev: ev, id: r.ID})
-		if done {
-			rp.finalQ = append(rp.finalQ, e)
-		}
-		return
-	}
 	if len(e.staged) < cap(e.staged) {
 		e.staged = append(e.staged, ev)
 	} else if done {
@@ -1158,61 +1088,6 @@ func (rp *gatewayReplica) stageEvent(r *request.Request, at sim.Time) {
 	if !e.queued {
 		e.queued = true
 		rp.sendQ = append(rp.sendQ, e)
-	}
-}
-
-// flush delivers the staged outbox without holding any lock (unbatched
-// mode only; batched delivery is flushFrames). Full buffers drop
-// intermediate token events (counted in droppedEvents) but never the
-// final one: a finished stream always observes Done, then close.
-//
-//qoserve:hotpath
-func (rp *gatewayReplica) flush() {
-	for i := range rp.outbox {
-		d := &rp.outbox[i]
-		if !d.ev.Done {
-			select {
-			case d.events <- d.ev:
-			default:
-				rp.srv.droppedEvents.Add(1)
-			}
-			continue
-		}
-		rp.sendFinal(d.events, d.ev)
-		close(d.events)
-		delete(rp.streams, d.id)
-		rp.active--
-		rp.load.Add(-1)
-		if rp.srv.inFlight.Add(-1) == 0 {
-			rp.srv.kickDrain()
-		}
-	}
-	for i := range rp.outbox {
-		rp.outbox[i] = delivery{} // release channel references
-	}
-	rp.outbox = rp.outbox[:0]
-}
-
-// sendFinal delivers ev even on a full buffer by evicting the oldest
-// undelivered events. The serving loop is the only sender and consumers
-// only receive, so eviction makes room and the loop terminates. Delivering
-// the final event is what completes a request, so this is the gateway's
-// outcome recorder.
-//
-//qoserve:hotpath
-//qoserve:outcome complete
-func (rp *gatewayReplica) sendFinal(events chan Event, ev Event) {
-	for {
-		select {
-		case events <- ev:
-			return
-		default:
-		}
-		select {
-		case <-events:
-			rp.srv.droppedEvents.Add(1)
-		default:
-		}
 	}
 }
 

@@ -23,18 +23,31 @@ import (
 // newTestServer runs at 2000x so simulated seconds pass in milliseconds.
 func newTestServer(t *testing.T, s sched.Scheduler) *Server {
 	t.Helper()
-	mc := model.Llama3_8B_A100_TP1()
-	srv, err := New(Config{
-		Model:     mc,
-		Scheduler: s,
-		Classes:   qos.Table3(),
-		Timescale: 2000,
-	})
+	return newFrameServer(t, s, 0)
+}
+
+// drain receives st to exhaustion and returns the events it delivered, in
+// order; the last one is always the Done event.
+func drain(tb testing.TB, st *Stream) []Event {
+	tb.Helper()
+	var evs []Event
+	for {
+		ev, ok := st.Recv()
+		if !ok {
+			return evs
+		}
+		evs = append(evs, ev)
+	}
+}
+
+// serveOne submits a request and waits for its stream to finish.
+func serveOne(t *testing.T, srv *Server, sub Submission) {
+	t.Helper()
+	stream, err := srv.Submit(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
-	return srv
+	drain(t, stream)
 }
 
 func qoserveSched() sched.Scheduler {
@@ -48,10 +61,7 @@ func TestServerStreamsTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	for ev := range stream.Events {
-		events = append(events, ev)
-	}
+	events := drain(t, stream)
 	if len(events) != 5 {
 		t.Fatalf("got %d events, want 5", len(events))
 	}
@@ -90,11 +100,7 @@ func TestServerConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			n := 0
-			for range stream.Events {
-				n++
-			}
-			if n != 4 {
+			if n := len(drain(t, stream)); n != 4 {
 				errs <- context.DeadlineExceeded
 			}
 		}()
@@ -130,13 +136,17 @@ func TestServerValidation(t *testing.T) {
 	}
 
 	mc := model.Llama3_8B_A100_TP1()
-	if _, err := New(Config{Model: mc, Scheduler: nil, Classes: qos.Table3()}); err == nil {
-		t.Error("nil scheduler accepted")
+	if _, err := New(Config{Model: mc, Classes: qos.Table3()}); err == nil {
+		t.Error("nil scheduler factory accepted")
 	}
-	if _, err := New(Config{Model: mc, Scheduler: qoserveSched()}); err == nil {
+	if _, err := New(Config{Model: mc, SchedulerFactory: func() sched.Scheduler { return nil },
+		Classes: qos.Table3()}); err == nil {
+		t.Error("factory returning a nil scheduler accepted")
+	}
+	if _, err := New(Config{Model: mc, SchedulerFactory: qoserveSched}); err == nil {
 		t.Error("no classes accepted")
 	}
-	if _, err := New(Config{Model: mc, Scheduler: qoserveSched(),
+	if _, err := New(Config{Model: mc, SchedulerFactory: qoserveSched,
 		Classes: qos.Table3(), Timescale: -1}); err == nil {
 		t.Error("negative timescale accepted")
 	}
@@ -254,10 +264,8 @@ func TestServerQoSOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range urgent.Events {
-	}
-	for range batch.Events {
-	}
+	drain(t, urgent)
+	drain(t, batch)
 	if res := urgent.Result(); res.Violated {
 		t.Errorf("urgent request violated its TTFT behind a batch job: %+v", res)
 	}
@@ -269,11 +277,7 @@ func TestServerWithSarathiScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for range stream.Events {
-		n++
-	}
-	if n != 3 {
+	if n := len(drain(t, stream)); n != 3 {
 		t.Fatalf("got %d events", n)
 	}
 }
@@ -284,12 +288,7 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	// Serve one request so counters move.
-	stream, err := srv.Submit(Submission{Class: "Q1", PromptTokens: 200, DecodeTokens: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range stream.Events {
-	}
+	serveOne(t, srv, Submission{Class: "Q1", PromptTokens: 200, DecodeTokens: 2})
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -310,5 +309,44 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestDoneImpliesRetired pins the linearization point of a request's
+// outcome: by the time a client has received Done, the request is retired
+// everywhere the gateway reports it — no longer pending in Stats, no
+// longer queued in any scheduler. Sequential submit/drain cycles give the
+// serving loop no other work to hide the race behind, so a loop that
+// sends the final frame before releasing its counters is caught within a
+// few thousand requests, colocated and disaggregated alike.
+func TestDoneImpliesRetired(t *testing.T) {
+	for _, mode := range []string{"colocated", "disagg"} {
+		t.Run(mode, func(t *testing.T) {
+			srv, err := New(Config{
+				Model:            model.Llama3_8B_A100_TP1(),
+				SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
+				Replicas:         2,
+				Mode:             mode,
+				Classes:          qos.Table3(),
+				Timescale:        100000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			var stream Stream
+			for i := 0; i < 3000; i++ {
+				if err := srv.SubmitTo(Submission{Class: "Q1", PromptTokens: 64, DecodeTokens: 2}, &stream); err != nil {
+					t.Fatal(err)
+				}
+				drain(t, &stream)
+				if st := srv.Stats(); st.Pending != 0 {
+					t.Fatalf("request %d: Pending = %d after Done", i, st.Pending)
+				}
+				if q := srv.Queues(); q.Main != 0 || q.Relegated != 0 || q.Decode != 0 {
+					t.Fatalf("request %d: queues %+v after Done", i, q)
+				}
+			}
+		})
 	}
 }
