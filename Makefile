@@ -72,14 +72,16 @@ lint:
 	fi
 
 # The pre-merge gate CI runs: static checks, the full suite (seed corpora
-# and chaos scenarios included) under the race detector, a short fuzzing
-# pass, then the short benchmark pass. The allocation guards
+# and chaos scenarios included) under the race detector, the perfbench
+# module's vet and tests (a separate module, so ./... skips it), a short
+# fuzzing pass, then the short benchmark pass. The allocation guards
 # (TestPlanBatchSteadyStateAllocFree, TestForestPredictAllocFree) run as
 # ordinary tests, so an alloc regression on the plan path fails the gate.
 verify:
 	$(GO) vet ./...
 	$(MAKE) lint
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) fuzz
 	$(MAKE) bench-short
 	$(MAKE) bench-gate

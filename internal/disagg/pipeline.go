@@ -8,6 +8,7 @@ import (
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
 	"qoserve/internal/request"
+	"qoserve/internal/sched"
 	"qoserve/internal/sim"
 )
 
@@ -84,52 +85,36 @@ func decodeShape(n, ctx int) model.BatchShape {
 	return s
 }
 
-// decodeNode runs decode-only batches capped at maxBatch, FCFS admission.
+// decodeNode is one simulated decode-tier node: a DES event loop that runs
+// the shared sched.DecodeTier policy, one decode-only batch at a time.
 type decodeNode struct {
-	cfg      model.Config
-	engine   *sim.Engine
-	maxBatch int
-	active   []*request.Request
-	waiting  []*request.Request
-	busy     bool
+	cfg    model.Config
+	engine *sim.Engine
+	tier   *sched.DecodeTier
+	busy   bool
 }
 
 func (d *decodeNode) enqueue(r *request.Request) {
-	d.waiting = append(d.waiting, r)
+	now := d.engine.Now()
+	d.tier.Add(r, now)
 	if !d.busy {
-		d.iterate(d.engine.Now())
+		d.iterate(now)
 	}
 }
 
-// load is the node's queue pressure, used for least-loaded routing.
-func (d *decodeNode) load() int { return len(d.active) + len(d.waiting) }
-
 func (d *decodeNode) iterate(now sim.Time) {
-	// Admit waiters up to the batch cap.
-	for len(d.active) < d.maxBatch && len(d.waiting) > 0 {
-		d.active = append(d.active, d.waiting[0])
-		d.waiting = d.waiting[1:]
-	}
-	if len(d.active) == 0 {
+	b := d.tier.PlanBatch(now)
+	if b.Empty() {
 		d.busy = false
 		return
 	}
 	d.busy = true
-	batch := append([]*request.Request(nil), d.active...)
-	shape := model.BatchShape{DecodeCtx: make([]int, len(batch))}
-	for i, r := range batch {
-		shape.DecodeCtx[i] = r.ContextLen()
-	}
-	exec := d.cfg.BatchTime(shape)
+	exec := d.cfg.BatchTime(b.Shape())
 	d.engine.At(now+exec, sim.EventFunc(func(_ *sim.Engine, end sim.Time) {
-		live := d.active[:0]
-		for _, r := range batch {
+		for _, r := range b.Decodes {
 			r.RecordDecodeToken(end)
-			if r.Phase() != request.Done {
-				live = append(live, r)
-			}
 		}
-		d.active = live
+		d.tier.OnBatchComplete(b, end)
 		d.iterate(end)
 	}))
 }
@@ -172,8 +157,10 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 	}
 	decodeNodes := make([]*decodeNode, cfg.DecodeReplicas)
 	for i := range decodeNodes {
-		decodeNodes[i] = &decodeNode{cfg: cfg.Model, engine: engine, maxBatch: maxBatch}
+		decodeNodes[i] = &decodeNode{cfg: cfg.Model, engine: engine, tier: sched.NewDecodeTier(maxBatch)}
 	}
+	decodeLoad := func(i int) int { return decodeNodes[i].tier.Pending() }
+	xfer := cluster.TransferModel{BytesPerToken: cfg.Model.Model.KVBytesPerToken(), BandwidthBps: cfg.TransferBandwidth}
 
 	// Each original request is paired with a prefill-only clone served by
 	// the prefill tier; the clone's completion (its FinishedAt is stamped
@@ -228,8 +215,7 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 			}
 			orig, clone := trace[i], clones[i]
 			// KV transfer: full prompt context across the interconnect.
-			bytes := cfg.Model.Model.KVBytesPerToken() * float64(orig.PromptTokens)
-			dt := sim.FromSeconds(bytes / cfg.TransferBandwidth)
+			dt := xfer.Time(orig.PromptTokens)
 			transferTimes = append(transferTimes, dt)
 			arriveAt := clone.FinishedAt + dt
 			if arriveAt < now {
@@ -241,13 +227,7 @@ func RunPipeline(cfg PipelineConfig, trace []*request.Request, horizon sim.Time)
 				if orig.Phase() == request.Done {
 					return // single-token request
 				}
-				node := decodeNodes[0]
-				for _, d := range decodeNodes[1:] {
-					if d.load() < node.load() {
-						node = d
-					}
-				}
-				node.enqueue(orig)
+				decodeNodes[cluster.LeastLoaded{}.PickIndex(len(decodeNodes), decodeLoad)].enqueue(orig)
 			}))
 		}
 		pending = kept

@@ -75,7 +75,7 @@ func TestClientStatsAndClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Served != 0 {
+	if stats.Accepted != 0 {
 		t.Fatalf("fresh stats = %+v", stats)
 	}
 }
@@ -99,8 +99,8 @@ func TestClientDriveLoad(t *testing.T) {
 		t.Fatal("no wall time")
 	}
 	stats := srv.Stats()
-	if stats.Served != 12 {
-		t.Fatalf("server served %d", stats.Served)
+	if stats.Accepted != 12 {
+		t.Fatalf("server accepted %d", stats.Accepted)
 	}
 
 	if _, err := c.DriveLoad(ctx, nil, 1, 1); err == nil {

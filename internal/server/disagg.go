@@ -8,21 +8,25 @@ import (
 	"qoserve/internal/metrics"
 	"qoserve/internal/replica"
 	"qoserve/internal/request"
-	"qoserve/internal/sim"
 )
 
 // Disaggregated serving (Config.Mode "disagg"): the gateway splits its
 // replicas into a prefill tier and a decode tier, the paper's temporal
-// silo broken spatially instead. Each submission is cloned into a
+// silo broken spatially instead. Every replica runs the same serving loop
+// (run); only the policy differs. Each submission is cloned into a
 // single-output-token prefill request that runs under the configured
 // scheduler on the prefill tier — keeping the scheduler's chunked,
 // preemptible prefill granularity, so a tight-deadline prompt can still
 // overtake a long one mid-prefill — while the original request is
 // assigned a fixed decode-tier home. When the clone finishes, its KV
-// pages "transfer" across the interconnect (a virtual-time delay sized by
-// the model's KV bytes per token and Config.TransferBandwidth) and the
-// original joins its home's FCFS decode loop, which runs capped batches
-// sized so iteration time stays under the strictest TBT.
+// pages "transfer" across the interconnect (a virtual-time delay priced
+// by cluster.TransferModel at Config.TransferBandwidth) and the original
+// arrives at its home, whose admit credits the prompt, streams the first
+// token, and hands the request to sched.DecodeTier: FCFS decode batches
+// capped so iteration time stays under the strictest TBT — the same
+// policy the disagg pipeline simulator runs. The decode tier's queues and
+// iterations therefore show up in Queues, /debug/queues, and /debug/trace
+// like any other replica's.
 //
 // Fault contract (no silent drops): a prefill-tier replica may be crashed
 // with Server.Crash. Every request it held — queued in its inbox, admitted
@@ -99,10 +103,8 @@ func (s *Server) submitDisagg(req *request.Request, entry *streamEntry, st *Stre
 	home := s.pickDecodeHome(req)
 	h := pendingHandoff{clone: s.prefillClone(req), orig: req, entry: entry, home: home}
 	s.reps[home].load.Add(1)
-	s.inFlight.Add(1)
-	if !s.enqueuePrefill(h) {
+	if !s.enqueuePrefill(h, true) {
 		s.reps[home].load.Add(-1)
-		s.inFlight.Add(-1)
 		s.finMu.Lock()
 		delete(s.live, id)
 		s.finMu.Unlock()
@@ -112,7 +114,6 @@ func (s *Server) submitDisagg(req *request.Request, entry *streamEntry, st *Stre
 		}
 		return ErrNoHealthyReplica
 	}
-	s.accepted.Add(1)
 	*st = Stream{ID: id, srv: s, entry: entry}
 	return nil
 }
@@ -125,10 +126,10 @@ func (s *Server) submitDisagg(req *request.Request, entry *streamEntry, st *Stre
 // least-loaded pick.
 func (s *Server) pickDecodeHome(req *request.Request) int {
 	nd := len(s.reps) - s.prefillReps
+	load := func(j int) int { return int(s.reps[s.prefillReps+j].load.Load()) }
 	if nd > 1 {
 		if sb, ok := s.balancer.(cluster.SnapshotBalancer); ok {
-			i := sb.PickPredicted(nd,
-				func(j int) int { return int(s.reps[s.prefillReps+j].load.Load()) },
+			i := sb.PickPredicted(nd, load,
 				func(j int) replica.LoadSnapshot { return s.reps[s.prefillReps+j].loadSnapshot() },
 				req.PromptTokens, req.DecodeTokens)
 			if i >= 0 && i < nd {
@@ -136,13 +137,7 @@ func (s *Server) pickDecodeHome(req *request.Request) int {
 			}
 		}
 	}
-	home := s.prefillReps
-	for i := s.prefillReps + 1; i < len(s.reps); i++ {
-		if s.reps[i].load.Load() < s.reps[home].load.Load() {
-			home = i
-		}
-	}
-	return home
+	return s.prefillReps + cluster.LeastLoaded{}.PickIndex(nd, load)
 }
 
 // pickPrefill chooses a healthy prefill-tier replica for the handoff's
@@ -172,9 +167,11 @@ func (s *Server) healthyPrefill() int {
 }
 
 // enqueuePrefill places the handoff's clone on a healthy prefill replica,
-// re-picking if the chosen replica crashes under it. False means no
-// healthy prefill replica remains (or the server closed).
-func (s *Server) enqueuePrefill(h pendingHandoff) bool {
+// re-picking if the chosen replica crashes under it. A fresh submission
+// (as opposed to a re-prefill) is counted accepted under the replica's
+// inboxMu, exactly like a colocated one. False means no healthy prefill
+// replica remains (or the server closed).
+func (s *Server) enqueuePrefill(h pendingHandoff, fresh bool) bool {
 	for attempt := 0; attempt <= s.prefillReps; attempt++ {
 		i := s.pickPrefill(h.orig)
 		if i < 0 {
@@ -196,6 +193,9 @@ func (s *Server) enqueuePrefill(h pendingHandoff) bool {
 			}
 			continue // crashed between pick and enqueue; re-pick
 		}
+		if fresh {
+			s.countAccepted()
+		}
 		src, tok := s.planTransfer(h.clone, i, s.prefillReps)
 		rp.inbox = append(rp.inbox, admission{req: h.clone, entry: h.entry, orig: h.orig, home: h.home, xferFrom: src, xferTokens: tok})
 		rp.inboxMu.Unlock()
@@ -207,8 +207,9 @@ func (s *Server) enqueuePrefill(h pendingHandoff) bool {
 
 // launchHandoffs starts the KV transfer for every clone that finished
 // prefill this iteration. Runs on the prefill loop goroutine after flush;
-// the transfer is a virtual-time delay (KV bytes / interconnect
-// bandwidth), after which the original request arrives at its decode home.
+// the transfer is a virtual-time delay (the handoff TransferModel's price
+// for the prompt), after which the original request arrives at its decode
+// home.
 func (rp *gatewayReplica) launchHandoffs() {
 	srv := rp.srv
 	for _, h := range rp.handoffQ {
@@ -217,8 +218,7 @@ func (rp *gatewayReplica) launchHandoffs() {
 		rp.load.Add(-1)
 		srv.handoffs.Add(1)
 		srv.transferTokens.Add(uint64(h.orig.PromptTokens))
-		bytes := srv.cfg.Model.Model.KVBytesPerToken() * float64(h.orig.PromptTokens)
-		wall := bytes / srv.cfg.TransferBandwidth * float64(time.Second) / srv.cfg.Timescale
+		wall := srv.handoff.Seconds(h.orig.PromptTokens) * float64(time.Second) / srv.cfg.Timescale
 		h := h
 		src := rp
 		time.AfterFunc(time.Duration(wall), func() { srv.deliverHandoff(src, h) })
@@ -271,7 +271,7 @@ func (s *Server) retryOrFail(h pendingHandoff, cause string) {
 		return
 	}
 	h.clone = s.prefillClone(h.orig)
-	if !s.enqueuePrefill(h) {
+	if !s.enqueuePrefill(h, false) {
 		s.failRequest(h, fmt.Sprintf("%s; no healthy prefill replica", cause))
 	}
 }
@@ -376,135 +376,4 @@ func (rp *gatewayReplica) crashDrain() {
 	rp.snapSumCtx.Store(0)
 	rp.snapMaxCtx.Store(0)
 	rp.snapChunk.Store(0)
-}
-
-// runDecode is a decode-tier replica's serving loop: admit KV handoffs,
-// then run FCFS decode batches capped at Config.MaxDecodeBatch so
-// iteration time stays under the strictest TBT regardless of queue depth.
-func (rp *gatewayReplica) runDecode() {
-	defer rp.srv.wg.Done()
-	for {
-		if !rp.admitDecode() {
-			return
-		}
-		if len(rp.decQ) == 0 {
-			continue // every arrival finished at admission (1-token outputs)
-		}
-		n := len(rp.decQ)
-		if n > rp.srv.maxDecodeBatch {
-			n = rp.srv.maxDecodeBatch
-		}
-		batch := rp.decQ[:n]
-		rp.shape.Prefill = rp.shape.Prefill[:0]
-		rp.shape.DecodeCtx = rp.shape.DecodeCtx[:0]
-		for _, r := range batch {
-			rp.shape.DecodeCtx = append(rp.shape.DecodeCtx, r.ContextLen())
-		}
-		exec := rp.srv.cfg.Model.BatchTime(rp.shape)
-		time.Sleep(time.Duration(float64(exec.Duration()) / rp.srv.cfg.Timescale))
-
-		rp.mu.Lock()
-		end := rp.srv.vnow()
-		rp.completeDecodeLocked(batch, exec, end)
-		rp.mu.Unlock()
-
-		// Compact before finishIteration: it reads each request's phase,
-		// and finalizeDone recycles finished requests.
-		keep := rp.decQ[:0]
-		for _, r := range rp.decQ {
-			if r.Phase() != request.Done {
-				keep = append(keep, r)
-			}
-		}
-		for i := len(keep); i < len(rp.decQ); i++ {
-			rp.decQ[i] = nil
-		}
-		rp.decQ = keep
-		rp.finishIteration(end)
-		rp.refreshDecodeSnap()
-		if len(rp.decQ) == 0 {
-			rp.maybeShrinkStreams()
-		}
-	}
-}
-
-// admitDecode blocks until this decode replica has work, then registers
-// arriving handoffs: the original request's prompt is credited as
-// prefilled (stamping TTFT — queueing, prefill, and transfer all elapsed)
-// and its first token streams out.
-func (rp *gatewayReplica) admitDecode() bool {
-	rp.inboxMu.Lock()
-	for !rp.srv.closed.Load() && len(rp.inbox) == 0 && rp.active == 0 {
-		// Same lost-wakeup-free park as admit: buffered kick + re-check.
-		rp.inboxMu.Unlock()
-		<-rp.notify
-		rp.inboxMu.Lock()
-	}
-	if rp.srv.closed.Load() {
-		rp.inboxMu.Unlock()
-		return false
-	}
-	rp.inbox, rp.drained = rp.drained[:0], rp.inbox
-	rp.inboxMu.Unlock()
-	if len(rp.drained) == 0 {
-		return true
-	}
-	now := rp.srv.vnow()
-	rp.mu.Lock()
-	for _, ad := range rp.drained {
-		r := ad.req
-		rp.streams[r.ID] = ad.entry
-		if len(rp.streams) > rp.streamsPeak {
-			rp.streamsPeak = len(rp.streams)
-		}
-		r.RecordPrefill(r.PromptTokens, now)
-		rp.stageEvent(r, now)
-		if r.Phase() != request.Done {
-			rp.decQ = append(rp.decQ, r)
-		}
-	}
-	rp.mu.Unlock()
-	rp.active += len(rp.drained)
-	for i := range rp.drained {
-		rp.drained[i] = admission{}
-	}
-	rp.finishIteration(now)
-	rp.refreshDecodeSnap()
-	return true
-}
-
-// completeDecodeLocked accounts one decode-tier iteration: every request
-// in the batch emits one token. Prompt tokens were already counted by the
-// prefill tier, so only decode tokens accrue here.
-//
-//qoserve:hotpath
-//qoserve:locked mu
-func (rp *gatewayReplica) completeDecodeLocked(batch []*request.Request, exec, end sim.Time) {
-	srv := rp.srv
-	srv.iterations.Add(1)
-	srv.tokens.Add(uint64(len(batch)))
-	srv.decodeTokens.Add(uint64(len(batch)))
-	rp.hist.observe(exec.Seconds())
-	for _, r := range batch {
-		r.RecordDecodeToken(end)
-		rp.stageEvent(r, end)
-	}
-}
-
-// refreshDecodeSnap publishes the decode queue's shape to the gauges for
-// /debug/load (decode replicas are not balancer targets, but operators
-// still read their state).
-func (rp *gatewayReplica) refreshDecodeSnap() {
-	decodes, sum, max := 0, 0, 0
-	for _, r := range rp.decQ {
-		decodes++
-		c := r.ContextLen()
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	rp.snapDecodes.Store(int64(decodes))
-	rp.snapSumCtx.Store(int64(sum))
-	rp.snapMaxCtx.Store(int64(max))
 }

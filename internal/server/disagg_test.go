@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -72,8 +73,8 @@ func TestDisaggConfigValidation(t *testing.T) {
 	if srv.prefillReps != 3 {
 		t.Fatalf("default prefill tier %d, want 3 of 5", srv.prefillReps)
 	}
-	if srv.maxDecodeBatch < 1 {
-		t.Fatalf("derived decode batch %d", srv.maxDecodeBatch)
+	if srv.cfg.MaxDecodeBatch < 1 {
+		t.Fatalf("derived decode batch %d", srv.cfg.MaxDecodeBatch)
 	}
 }
 
@@ -138,6 +139,55 @@ func TestDisaggCompletesAllRequests(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestDisaggDecodeTierRunsServingLoop: decode replicas run the ordinary
+// serving loop under sched.DecodeTier, so every decode iteration is traced
+// and queued like any other replica's, and SchedulerFactory builds only the
+// prefill tier.
+func TestDisaggDecodeTierRunsServingLoop(t *testing.T) {
+	var built atomic.Int32
+	srv := newDisaggServer(t, Config{
+		Replicas:        3,
+		PrefillReplicas: 1,
+		TraceDepth:      1024,
+		SchedulerFactory: func() sched.Scheduler {
+			built.Add(1)
+			return sched.NewSarathi(sched.EDF, 512)
+		},
+	})
+	if got := int(built.Load()); got != srv.PrefillReplicas() {
+		t.Fatalf("SchedulerFactory ran %d times, want %d (prefill tier only)", got, srv.PrefillReplicas())
+	}
+	const decode = 40
+	stream, err := srv.Submit(Submission{Class: "Q2", PromptTokens: 512, DecodeTokens: decode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := drain(t, stream)
+	if last := evs[len(evs)-1]; !last.Done || last.Token != decode {
+		t.Fatalf("stream ended with %+v, want Done at token %d", last, decode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The first token rides the handoff; each of the other 39 is one
+	// decode-only iteration on the decode tier.
+	policy := sched.NewDecodeTier(1).Name()
+	iters := 0
+	for _, it := range srv.Trace().Snapshot(0) {
+		if it.Policy == policy && it.Batch.PrefillTokens == 0 && it.Batch.Decodes == 1 {
+			iters++
+		}
+	}
+	if iters < decode-1 {
+		t.Fatalf("trace holds %d %s decode iterations, want >= %d", iters, policy, decode-1)
+	}
+	if q := srv.Queues(); q != (QueueDepths{Reported: true}) {
+		t.Fatalf("queues %+v after drain, want empty", q)
 	}
 }
 

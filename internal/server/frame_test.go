@@ -106,7 +106,7 @@ func TestFrameConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.Served != clients || st.Pending != 0 || st.Tokens == 0 {
+	if st.Accepted != clients || st.Pending != 0 || st.Tokens == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	sum := srv.summary(srv.vnow())

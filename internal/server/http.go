@@ -47,7 +47,7 @@ type TokenEvent struct {
 type StatsResponse struct {
 	VirtualNowMS  float64 `json:"virtual_now_ms"`
 	Pending       int     `json:"pending"`
-	Served        int     `json:"served"`
+	Accepted      int     `json:"accepted"`
 	Iterations    uint64  `json:"iterations"`
 	Tokens        uint64  `json:"tokens"`
 	ViolationRate float64 `json:"violation_rate"`
@@ -145,7 +145,7 @@ type QueuesResponse struct {
 	Policy         string  `json:"policy"`
 	VirtualNowMS   float64 `json:"virtual_now_ms"`
 	Pending        int     `json:"pending"`
-	Served         int     `json:"served"`
+	Accepted       int     `json:"accepted"`
 	QueueMain      int     `json:"queue_main"`
 	QueueRelegated int     `json:"queue_relegated"`
 	QueueDecode    int     `json:"queue_decode"`
@@ -235,8 +235,7 @@ func (s *Server) handleDebugLoad(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	vnow := s.vnow()
 	sum := s.summary(vnow)
-	served := s.accepted.Load()
-	pending := int(s.inFlight.Load())
+	pending, accepted := s.counts()
 	iterations, tokens := s.iterations.Load(), s.tokens.Load()
 	prefillTokens, decodeTokens := s.prefillTokens.Load(), s.decodeTokens.Load()
 	dropped := s.droppedEvents.Load()
@@ -250,7 +249,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p := promWriter{w}
 
 	p.header("qoserve_requests_total", "Requests accepted since start.", "counter")
-	p.intValue("qoserve_requests_total", "", served)
+	p.intValue("qoserve_requests_total", "", accepted)
 	p.header("qoserve_requests_pending", "Requests not yet finished.", "gauge")
 	p.intValue("qoserve_requests_pending", "", uint64(pending))
 	p.header("qoserve_iterations_total", "Executed batches.", "counter")
@@ -464,11 +463,12 @@ func tracedIteration(it trace.Iteration) TracedIteration {
 
 // handleDebugQueues serves a live queue snapshot, summed over replicas.
 func (s *Server) handleDebugQueues(w http.ResponseWriter, _ *http.Request) {
+	pending, accepted := s.counts()
 	resp := QueuesResponse{
 		Policy:       s.policyName(),
 		VirtualNowMS: msT(s.vnow()),
-		Pending:      int(s.inFlight.Load()),
-		Served:       int(s.accepted.Load()),
+		Pending:      pending,
+		Accepted:     int(accepted),
 		Iterations:   s.iterations.Load(),
 		TraceEnabled: s.tracer != nil,
 		Replicas:     len(s.reps),
@@ -572,7 +572,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, StatsResponse{
 		VirtualNowMS:  ms(st.VirtualNow),
 		Pending:       st.Pending,
-		Served:        st.Served,
+		Accepted:      st.Accepted,
 		Iterations:    st.Iterations,
 		Tokens:        st.Tokens,
 		ViolationRate: st.ViolationRate,

@@ -285,7 +285,7 @@ func TestDebugQueues(t *testing.T) {
 	if q.Policy != "QoServe" || !q.QueuesReported || !q.TraceEnabled {
 		t.Fatalf("queues = %+v", q)
 	}
-	if q.Served != 1 || q.Pending != 0 || q.Iterations == 0 {
+	if q.Accepted != 1 || q.Pending != 0 || q.Iterations == 0 {
 		t.Errorf("counters = %+v", q)
 	}
 	if q.QueueMain != 0 || q.QueueRelegated != 0 || q.QueueDecode != 0 {
@@ -315,7 +315,7 @@ func TestClientFetchesDebugEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Served != 1 {
+	if q.Accepted != 1 {
 		t.Fatalf("queues = %+v", q)
 	}
 }

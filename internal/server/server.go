@@ -163,10 +163,12 @@ type Config struct {
 	// decode. "disagg" splits the replicas into a prefill tier (the first
 	// PrefillReplicas loops, running the configured scheduler with its
 	// chunked, preemptible prefill granularity) and a decode tier (the
-	// rest, running FCFS capped decode batches). Prompts prefill on the
-	// prefill tier, then their KV pages transfer over a modeled
-	// interconnect to a fixed decode-tier home that streams the output
-	// tokens. See docs/ARCHITECTURE.md for the two-tier lifecycle.
+	// rest, running the same serving loop under sched.DecodeTier: FCFS
+	// decode batches capped at MaxDecodeBatch). SchedulerFactory builds
+	// only the prefill tier's schedulers. Prompts prefill on the prefill
+	// tier, then their KV pages transfer over a modeled interconnect to a
+	// fixed decode-tier home that streams the output tokens. See
+	// docs/ARCHITECTURE.md for the two-tier lifecycle.
 	Mode string
 	// PrefillReplicas is the prefill-tier size in disagg mode (default
 	// (Replicas+1)/2). The remaining replicas form the decode tier; both
@@ -220,8 +222,7 @@ type Server struct {
 
 	// prefillReps is the prefill-tier size in disagg mode; 0 means
 	// colocated. Immutable after New.
-	prefillReps    int
-	maxDecodeBatch int
+	prefillReps int
 
 	nextID   atomic.Uint64
 	closed   atomic.Bool
@@ -241,9 +242,10 @@ type Server struct {
 	// crashed replica keeps its last publication) — consumers re-validate
 	// liveness before acting on a hit.
 	prefixIdx *kvcache.GlobalIndex
-	// xferBytesPerToken is the served model's KV footprint per token,
-	// cached for transfer pricing. Immutable after New.
-	xferBytesPerToken float64
+	// kvImport prices cross-replica prefix imports (Config.
+	// KVTransferBandwidth); handoff prices disagg prefill->decode KV
+	// transfers (Config.TransferBandwidth). Immutable after New.
+	kvImport, handoff cluster.TransferModel
 
 	prefixTransferTokens atomic.Uint64 // hit tokens imported across replicas
 	transferFallbacks    atomic.Uint64 // planned imports abandoned at admission
@@ -334,6 +336,10 @@ type gatewayReplica struct {
 	// observes it, drains its queue through retry-or-fail, and exits.
 	down atomic.Bool
 
+	// decodeTier marks a disagg decode-tier replica: its arrivals are KV
+	// handoffs whose prompts already prefilled. Immutable after New.
+	decodeTier bool
+
 	// pending tracks prefill clones admitted here and not yet handed off
 	// to the decode tier, keyed by clone ID. Loop-owned (crashDrain runs
 	// on the loop goroutine); nil outside the disagg prefill tier.
@@ -368,7 +374,6 @@ type gatewayReplica struct {
 	shape       model.BatchShape        // batch-shape scratch for the cost model
 	hist        histShard               // iteration-latency histogram shard
 	handoffQ    []pendingHandoff        // clones finished this iteration, to launch
-	decQ        []*request.Request      // decode-tier FCFS queue
 }
 
 // admission is one submitted request en route to its serving loop. On the
@@ -410,12 +415,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SchedulerFactory == nil {
 		return nil, fmt.Errorf("server: nil SchedulerFactory")
-	}
-	scheds := make([]sched.Scheduler, cfg.Replicas)
-	for i := range scheds {
-		if scheds[i] = cfg.SchedulerFactory(); scheds[i] == nil {
-			return nil, fmt.Errorf("server: SchedulerFactory returned nil")
-		}
 	}
 	if cfg.Timescale == 0 {
 		cfg.Timescale = 1
@@ -486,17 +485,30 @@ func New(cfg Config) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("server: unknown mode %q (want \"colocated\" or \"disagg\")", cfg.Mode)
 	}
+	// Colocated mode validated PrefillReplicas == 0: no decode tier.
+	scheds := make([]sched.Scheduler, cfg.Replicas)
+	for i := range scheds {
+		if cfg.PrefillReplicas > 0 && i >= cfg.PrefillReplicas {
+			scheds[i] = sched.NewDecodeTier(cfg.MaxDecodeBatch)
+		} else if scheds[i] = cfg.SchedulerFactory(); scheds[i] == nil {
+			return nil, fmt.Errorf("server: SchedulerFactory returned nil")
+		}
+	}
+	bytesPerToken := cfg.Model.Model.KVBytesPerToken()
 	s := &Server{
-		cfg:       cfg,
-		classes:   make(map[string]qos.Class, len(cfg.Classes)),
-		start:     time.Now(),
-		balancer:  cfg.Balancer,
-		live:      make(map[uint64]*request.Request, 256),
-		drainWake: make(chan struct{}, 1),
-		frameBuf:  max(2, cfg.StreamBuffer/cfg.EventFrame),
-		reqPool:   make(chan *request.Request, poolCap),
-		entryPool: make(chan *streamEntry, poolCap),
-		framePool: make(chan []Event, poolCap),
+		cfg:         cfg,
+		classes:     make(map[string]qos.Class, len(cfg.Classes)),
+		start:       time.Now(),
+		balancer:    cfg.Balancer,
+		prefillReps: cfg.PrefillReplicas,
+		kvImport:    cluster.TransferModel{BytesPerToken: bytesPerToken, BandwidthBps: cfg.KVTransferBandwidth},
+		handoff:     cluster.TransferModel{BytesPerToken: bytesPerToken, BandwidthBps: cfg.TransferBandwidth},
+		live:        make(map[uint64]*request.Request, 256),
+		drainWake:   make(chan struct{}, 1),
+		frameBuf:    max(2, cfg.StreamBuffer/cfg.EventFrame),
+		reqPool:     make(chan *request.Request, poolCap),
+		entryPool:   make(chan *streamEntry, poolCap),
+		framePool:   make(chan []Event, poolCap),
 	}
 	if s.balancer == nil {
 		s.balancer = &cluster.AtomicRoundRobin{}
@@ -522,11 +534,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.GlobalPrefixIndex || cfg.KVTransferBandwidth > 0 {
 		s.prefixIdx = kvcache.NewGlobalIndex(cfg.Replicas)
 	}
-	s.xferBytesPerToken = cfg.Model.Model.KVBytesPerToken()
-	if cfg.Mode == "disagg" {
-		s.prefillReps = cfg.PrefillReplicas
-		s.maxDecodeBatch = cfg.MaxDecodeBatch
-	}
 	kvCfg := cfg.KV
 	if kvCfg.CapacityTokens == 0 {
 		kvCfg.CapacityTokens = cfg.Model.KVCapacityTokens()
@@ -547,15 +554,12 @@ func New(cfg Config) (*Server, error) {
 		if s.prefillReps > 0 && i < s.prefillReps {
 			rp.pending = make(map[uint64]pendingHandoff, 64)
 		}
+		rp.decodeTier = s.prefillReps > 0 && i >= s.prefillReps
 		s.reps = append(s.reps, rp)
 	}
 	s.wg.Add(len(s.reps))
-	for i, rp := range s.reps {
-		if s.prefillReps > 0 && i >= s.prefillReps {
-			go rp.runDecode()
-		} else {
-			go rp.run()
-		}
+	for _, rp := range s.reps {
+		go rp.run()
 	}
 	return s, nil
 }
@@ -662,24 +666,22 @@ func (s *Server) SubmitTo(sub Submission, st *Stream) error {
 	rp.load.Add(1)
 	rp.snapQueued.Add(1)
 	rp.snapPrefill.Add(int64(req.PromptTokens))
-	s.inFlight.Add(1)
 	rp.inboxMu.Lock()
 	if s.closed.Load() {
 		rp.inboxMu.Unlock()
 		rp.load.Add(-1)
 		rp.snapQueued.Add(-1)
 		rp.snapPrefill.Add(-int64(req.PromptTokens))
-		s.inFlight.Add(-1)
 		s.finMu.Lock()
 		delete(s.live, id)
 		s.finMu.Unlock()
 		s.releaseUnused(req, entry)
 		return ErrClosed
 	}
+	s.countAccepted()
 	rp.inbox = append(rp.inbox, admission{req: req, entry: entry, xferFrom: src, xferTokens: tok})
 	rp.inboxMu.Unlock()
 	rp.kick()
-	s.accepted.Add(1)
 
 	// After the kick the request may complete (and be recycled) at any
 	// moment; only the entry pointer and captured id are safe to touch.
@@ -730,15 +732,6 @@ func (s *Server) indexMatch(chain []uint64) func(int) int {
 	return func(j int) int { return s.prefixIdx.MatchTokens(j, chain) }
 }
 
-// transferSeconds prices moving tokens of cached KV between replicas over
-// the configured interconnect, in virtual seconds.
-func (s *Server) transferSeconds(tokens int) float64 {
-	if tokens <= 0 || s.cfg.KVTransferBandwidth <= 0 {
-		return 0
-	}
-	return float64(tokens) * s.xferBytesPerToken / s.cfg.KVTransferBandwidth
-}
-
 // planTransfer decides at submission whether the chosen replica should
 // import the request's cached prefix from another replica instead of
 // recomputing it: it returns the source and the total prefix tokens to
@@ -769,7 +762,7 @@ func (s *Server) planTransfer(req *request.Request, chosen, tierN int) (src, tok
 	recompute := s.cfg.Model.BatchTime(model.BatchShape{
 		Prefill: []model.ChunkShape{{Tokens: moved, CtxStart: local}},
 	}).Seconds()
-	if s.transferSeconds(moved) >= recompute {
+	if s.kvImport.Seconds(moved) >= recompute {
 		return -1, 0
 	}
 	return holder, best
@@ -827,6 +820,9 @@ func (rp *gatewayReplica) run() {
 				rp.crashDrain()
 			}
 			return
+		}
+		if rp.active == 0 {
+			continue // every arrival finished at admission (1-token handoffs)
 		}
 		now := rp.srv.vnow()
 		rp.mu.Lock()
@@ -902,13 +898,54 @@ func (rp *gatewayReplica) admit() bool {
 	if len(rp.drained) == 0 {
 		return true
 	}
-	// Pin shared prefixes before the scheduler sees the requests: matched
-	// tokens are credited as already prefilled (the chunk planners just
-	// see less remaining work) and DRAM promotions accrue reload debt for
-	// the next iteration's sleep. Planned cross-replica imports are
-	// re-validated here — the source may have crashed or evicted since
-	// submission — then credited like local hits, with the interconnect
-	// time accrued as transfer debt.
+	if !rp.decodeTier {
+		rp.acquirePrefixes()
+	}
+	now := rp.srv.vnow()
+	rp.mu.Lock()
+	for _, ad := range rp.drained {
+		r := ad.req
+		if ad.orig != nil {
+			// Disagg prefill clone: no stream here — its completion hands
+			// the original off to the decode tier instead.
+			rp.pending[r.ID] = pendingHandoff{clone: r, orig: ad.orig, entry: ad.entry, home: ad.home}
+		} else {
+			rp.streams[r.ID] = ad.entry
+			if len(rp.streams) > rp.streamsPeak {
+				rp.streamsPeak = len(rp.streams)
+			}
+		}
+		if rp.decodeTier {
+			// KV handoff: the prompt prefilled on the prefill tier, so it is
+			// credited whole (stamping TTFT — queueing, prefill, and
+			// transfer all elapsed) and the first token streams now.
+			r.RecordPrefill(r.PromptTokens, now)
+			rp.stageEvent(r, now)
+			if r.Phase() == request.Done {
+				continue
+			}
+		}
+		rp.scheduler.Add(r, now)
+	}
+	rp.mu.Unlock()
+	rp.active += len(rp.drained)
+	for i := range rp.drained {
+		rp.drained[i] = admission{} // release references, keep capacity
+	}
+	if rp.decodeTier {
+		rp.finishIteration(now)
+	}
+	return true
+}
+
+// acquirePrefixes pins the drained arrivals' shared prefixes before the
+// scheduler sees them: matched tokens are credited as already prefilled
+// (the chunk planners just see less remaining work) and DRAM promotions
+// accrue reload debt for the next iteration's sleep. Planned cross-replica
+// imports are re-validated here — the source may have crashed or evicted
+// since submission — then credited like local hits, with the interconnect
+// time accrued as transfer debt.
+func (rp *gatewayReplica) acquirePrefixes() {
 	srv := rp.srv
 	var hitCredit, moveCredit, reloadCredit, fallbacks int64
 	rp.kvMu.Lock()
@@ -926,7 +963,7 @@ func (rp *gatewayReplica) admit() bool {
 				}
 				moved := imp - credit
 				credit = imp
-				rp.transferDebt += time.Duration(srv.transferSeconds(moved) * float64(time.Second))
+				rp.transferDebt += time.Duration(srv.kvImport.Seconds(moved) * float64(time.Second))
 				moveCredit += int64(moved)
 			} else {
 				// Source gone: recompute instead. Never a silent drop — the
@@ -961,27 +998,6 @@ func (rp *gatewayReplica) admit() bool {
 	if fallbacks > 0 {
 		srv.transferFallbacks.Add(uint64(fallbacks))
 	}
-	now := rp.srv.vnow()
-	rp.mu.Lock()
-	for _, ad := range rp.drained {
-		if ad.orig != nil {
-			// Disagg prefill clone: no stream here — its completion hands
-			// the original off to the decode tier instead.
-			rp.pending[ad.req.ID] = pendingHandoff{clone: ad.req, orig: ad.orig, entry: ad.entry, home: ad.home}
-		} else {
-			rp.streams[ad.req.ID] = ad.entry
-			if len(rp.streams) > rp.streamsPeak {
-				rp.streamsPeak = len(rp.streams)
-			}
-		}
-		rp.scheduler.Add(ad.req, now)
-	}
-	rp.mu.Unlock()
-	rp.active += len(rp.drained)
-	for i := range rp.drained {
-		rp.drained[i] = admission{} // release references, keep capacity
-	}
-	return true
 }
 
 // completeLocked performs the post-execution phase of one iteration: token
@@ -1093,9 +1109,12 @@ func (rp *gatewayReplica) stageEvent(r *request.Request, at sim.Time) {
 
 // Stats is a snapshot of server health.
 type Stats struct {
-	VirtualNow    time.Duration
-	Pending       int
-	Served        int
+	VirtualNow time.Duration
+	// Pending counts accepted requests not yet finished; it never exceeds
+	// Accepted.
+	Pending int
+	// Accepted counts submissions that entered a serving loop.
+	Accepted      int
 	Iterations    uint64
 	Tokens        uint64
 	ViolationRate float64
@@ -1110,16 +1129,33 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	vnow := s.vnow()
 	sum := s.summary(vnow)
+	pending, accepted := s.counts()
 	return Stats{
 		VirtualNow:    vnow.Duration(),
-		Pending:       int(s.inFlight.Load()),
-		Served:        int(s.accepted.Load()),
+		Pending:       pending,
+		Accepted:      int(accepted),
 		Iterations:    s.iterations.Load(),
 		Tokens:        s.tokens.Load(),
 		ViolationRate: sum.ViolationRate(metrics.All),
 		DroppedEvents: s.droppedEvents.Load(),
 		Replicas:      len(s.reps),
 	}
+}
+
+// countAccepted records one submission entering a serving loop. Callers
+// hold the target replica's inboxMu, so the request cannot finish before
+// both counters moved; accepted moves first, so counts never reports more
+// pending than accepted requests.
+func (s *Server) countAccepted() {
+	s.accepted.Add(1)
+	s.inFlight.Add(1)
+}
+
+// counts reads the pending and accepted counters, in-flight first: with
+// countAccepted's ordering this guarantees pending <= accepted.
+func (s *Server) counts() (pending int, accepted uint64) {
+	pending = int(s.inFlight.Load())
+	return pending, s.accepted.Load()
 }
 
 // summary builds a metrics summary over every accepted request: finished

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -116,7 +117,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.Served != clients || st.Pending != 0 || st.Tokens == 0 {
+	if st.Accepted != clients || st.Pending != 0 || st.Tokens == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -209,7 +210,7 @@ func TestHTTPStatsAndClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Served != 0 || stats.Pending != 0 {
+	if stats.Accepted != 0 || stats.Pending != 0 {
 		t.Fatalf("fresh stats = %+v", stats)
 	}
 
@@ -309,6 +310,74 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestCountersNeverShowMorePendingThanAccepted races submitters against a
+// counter reader: a submission must never be visible as pending before it
+// is counted accepted, and the accepted counter (qoserve_requests_total)
+// must never decrease. Requests are long enough that none finishes during
+// the test, so a single submission caught between the two counter updates
+// shows up as pending > accepted.
+func TestCountersNeverShowMorePendingThanAccepted(t *testing.T) {
+	for _, mode := range []string{"colocated", "disagg"} {
+		t.Run(mode, func(t *testing.T) {
+			srv, err := New(Config{
+				Model:            model.Llama3_8B_A100_TP1(),
+				SchedulerFactory: func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 512) },
+				Replicas:         4,
+				Mode:             mode,
+				Classes:          qos.Table3(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			const submitters, perSubmitter = 4, 2000
+			var wg sync.WaitGroup
+			for w := 0; w < submitters; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var st Stream
+					for i := 0; i < perSubmitter; i++ {
+						if err := srv.SubmitTo(Submission{Class: "Q3", PromptTokens: 64, DecodeTokens: 4096}, &st); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			violation := ""
+			var last uint64
+		read:
+			for reads := 0; ; reads++ {
+				pending, accepted := srv.counts()
+				switch {
+				case pending > int(accepted):
+					violation = fmt.Sprintf("read %d: pending %d > accepted %d", reads, pending, accepted)
+					break read
+				case accepted < last:
+					violation = fmt.Sprintf("read %d: accepted fell from %d to %d", reads, last, accepted)
+					break read
+				}
+				last = accepted
+				select {
+				case <-done:
+					break read
+				default:
+				}
+			}
+			<-done // the submitters finish before Close
+			if violation != "" {
+				t.Fatal(violation)
+			}
+			if _, accepted := srv.counts(); accepted != submitters*perSubmitter {
+				t.Fatalf("accepted %d, want %d", accepted, submitters*perSubmitter)
+			}
+		})
 	}
 }
 
