@@ -2,6 +2,11 @@
 
 GO ?= go
 
+# pipefail: a failing `go test ... | tee` step fails its target instead of
+# reporting tee's success.
+SHELL       := bash
+.SHELLFLAGS := -o pipefail -c
+
 .PHONY: all build vet test test-short race chaos fuzz lint verify bench bench-short bench-all bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr10 bench-gate loadgen-smoke experiments experiments-full examples quick clean
 
 all: build vet test
@@ -116,16 +121,13 @@ bench-all:
 # closed-loop submitters per GOMAXPROCS against 1/4/8 serving replicas —
 # replicas=1 is the old single-lock architecture's ceiling) plus the
 # token fan-out micro-benchmark, folded into the committed
-# BENCH_PR5.json with the single-lock vs sharded req/s recorded as meta.
+# BENCH_PR5.json; each benchmark's req/s is in its "extra" map.
 BENCH5OUT ?= BENCH_PR5.json
 bench-pr5:
 	$(GO) test -run '^$$' -bench GatewayContended -benchtime 2s ./internal/server/ | tee /tmp/bench_gateway.txt
 	$(GO) test -run '^$$' -bench TokenFanout -benchmem ./internal/server/ | tee /tmp/bench_fanout.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH5OUT) \
 		-meta note="req/s under 32 parallel closed-loop submitters; replicas=1 is the single-lock baseline" \
-		-meta single_lock_req_s="$$(awk '/Replicas1 /{print $$(NF-1)}' /tmp/bench_gateway.txt)" \
-		-meta sharded_4x_req_s="$$(awk '/Replicas4 /{print $$(NF-1)}' /tmp/bench_gateway.txt)" \
-		-meta sharded_8x_req_s="$$(awk '/Replicas8 /{print $$(NF-1)}' /tmp/bench_gateway.txt)" \
 		/tmp/bench_gateway.txt /tmp/bench_fanout.txt
 	@echo "wrote $(BENCH5OUT)"
 
@@ -133,16 +135,13 @@ bench-pr5:
 # closed-loop load end to end through a 4-replica gateway under each routing
 # policy. PrefixAffinity should beat AtomicRoundRobin on both req/s and TTFT
 # because follow-up turns land where their prefix is cached and skip the
-# re-prefill; the headline numbers are folded into BENCH_PR6.json as meta.
+# re-prefill. BENCH_PR6.json carries each balancer's req/s and TTFT in its
+# benchmark's "extra" map.
 BENCH6OUT ?= BENCH_PR6.json
 bench-pr6:
 	$(GO) test -run '^$$' -bench SessionBalancer -benchtime 3x ./internal/loadgen/ | tee /tmp/bench_prefix.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH6OUT) \
 		-meta note="400 requests, 8-turn sessions, prompt p50 1024 / decode p50 12, 4 replicas" \
-		-meta round_robin_req_s="$$(awk '/RoundRobin/{for(i=2;i<=NF;i++)if($$i=="req/s")print $$(i-1)}' /tmp/bench_prefix.txt)" \
-		-meta prefix_req_s="$$(awk '/BalancerPrefix/{for(i=2;i<=NF;i++)if($$i=="req/s")print $$(i-1)}' /tmp/bench_prefix.txt)" \
-		-meta round_robin_ttft_p50_ms="$$(awk '/RoundRobin/{for(i=2;i<=NF;i++)if($$i=="ttft_p50_ms")print $$(i-1)}' /tmp/bench_prefix.txt)" \
-		-meta prefix_ttft_p50_ms="$$(awk '/BalancerPrefix/{for(i=2;i<=NF;i++)if($$i=="ttft_p50_ms")print $$(i-1)}' /tmp/bench_prefix.txt)" \
 		/tmp/bench_prefix.txt
 	@echo "wrote $(BENCH6OUT)"
 
@@ -152,17 +151,13 @@ bench-pr6:
 # 128-token prompt as the same unit of load, so PredictedLatency — which
 # scores the forest over each replica's live queue snapshot — should beat
 # LeastLoaded on P90 TTFT in both the colocated and the disaggregated
-# (2 prefill + 2 decode) gateway; the headline P90s land in BENCH_PR7.json
-# as meta.
+# (2 prefill + 2 decode) gateway; the P90s are each benchmark's
+# ttft_p90_ms in BENCH_PR7.json.
 BENCH7OUT ?= BENCH_PR7.json
 bench-pr7:
 	$(GO) test -run '^$$' -bench LongPrefill -benchtime 3x ./internal/loadgen/ | tee /tmp/bench_predicted.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH7OUT) \
 		-meta note="300 requests, prompt p50 512 / p90 4096 / max 16384, decode p50 8, 4 replicas (disagg: 2 prefill + 2 decode)" \
-		-meta colocated_least_loaded_ttft_p90_ms="$$(awk '/ColocatedLeastLoaded/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_predicted.txt)" \
-		-meta colocated_predicted_ttft_p90_ms="$$(awk '/ColocatedPredicted/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_predicted.txt)" \
-		-meta disagg_least_loaded_ttft_p90_ms="$$(awk '/DisaggLeastLoaded/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_predicted.txt)" \
-		-meta disagg_predicted_ttft_p90_ms="$$(awk '/DisaggPredicted/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_predicted.txt)" \
 		/tmp/bench_predicted.txt
 	@echo "wrote $(BENCH7OUT)"
 
@@ -171,29 +166,23 @@ bench-pr7:
 # affinity, recompute on a routing miss) pins sessions to their holders, so
 # hot replicas stack long prefills; the transfer-enabled predicted balancer
 # imports cached prefixes over a modeled 64 GB/s interconnect and must beat
-# it on req/s and TTFT p50/p90 with non-zero prefix_transfer_tokens.
+# it on req/s and TTFT p50/p90. BenchmarkSessionPrefixPredictedTransfer
+# fails when no prefix tokens moved, so the CI smoke pass (BENCH8TIME=1x)
+# proves the transfer path still runs end to end.
 BENCH8OUT  ?= BENCH_PR8.json
 BENCH8TIME ?= 3x
 bench-pr8:
 	$(GO) test -run '^$$' -bench SessionPrefix -benchtime $(BENCH8TIME) ./internal/loadgen/ | tee /tmp/bench_transfer.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH8OUT) \
 		-meta note="320 requests, 8-turn sessions, prompt p50 1024 / max 8192, 4 replicas, 64 GB/s KV interconnect" \
-		-meta recompute_req_s="$$(awk '/AffinityRecompute/{for(i=2;i<=NF;i++)if($$i=="req/s")print $$(i-1)}' /tmp/bench_transfer.txt)" \
-		-meta transfer_req_s="$$(awk '/PredictedTransfer/{for(i=2;i<=NF;i++)if($$i=="req/s")print $$(i-1)}' /tmp/bench_transfer.txt)" \
-		-meta recompute_ttft_p50_ms="$$(awk '/AffinityRecompute/{for(i=2;i<=NF;i++)if($$i=="ttft_p50_ms")print $$(i-1)}' /tmp/bench_transfer.txt)" \
-		-meta transfer_ttft_p50_ms="$$(awk '/PredictedTransfer/{for(i=2;i<=NF;i++)if($$i=="ttft_p50_ms")print $$(i-1)}' /tmp/bench_transfer.txt)" \
-		-meta recompute_ttft_p90_ms="$$(awk '/AffinityRecompute/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_transfer.txt)" \
-		-meta transfer_ttft_p90_ms="$$(awk '/PredictedTransfer/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_transfer.txt)" \
-		-meta transfer_prefix_transfer_tokens="$$(awk '/PredictedTransfer/{for(i=2;i<=NF;i++)if($$i=="prefix_transfer_tokens")print $$(i-1)}' /tmp/bench_transfer.txt)" \
 		/tmp/bench_transfer.txt
 	@echo "wrote $(BENCH8OUT)"
 
 # Token-path benchmark baseline (PR 10): the contended closed-loop workload
 # against 8 replicas with the request, stream entry, and event frames
 # recycled through free lists and each iteration's tokens coalesced into
-# one pooled frame, so allocs/op must stay at 0. The headline req/s, TTFT
-# p50/p90, and allocs/req land in BENCH_PR10.json as meta alongside the raw
-# benchmark entries benchgate diffs.
+# one pooled frame, so allocs/op must stay at 0. BENCH_PR10.json holds the
+# raw benchmark entries benchgate diffs, req/s and TTFT p50/p90 included.
 BENCH10OUT  ?= BENCH_PR10.json
 BENCH10TIME ?= 2s
 bench-pr10:
@@ -201,10 +190,6 @@ bench-pr10:
 		-benchtime $(BENCH10TIME) ./internal/server/ | tee /tmp/bench_tokenpath.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH10OUT) \
 		-meta note="32 parallel closed-loop submitters, Q2 512/2, 8 replicas, EventFrame 16 pooled frames" \
-		-meta frame_req_s="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="req/s")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
-		-meta frame_ttft_p50_ms="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="ttft_p50_ms")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
-		-meta frame_ttft_p90_ms="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="ttft_p90_ms")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
-		-meta frame_allocs_per_req="$$(awk '/GatewayFrameReplicas8/{for(i=2;i<=NF;i++)if($$i=="allocs/op")print $$(i-1)}' /tmp/bench_tokenpath.txt)" \
 		/tmp/bench_tokenpath.txt
 	@echo "wrote $(BENCH10OUT)"
 

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"qoserve/internal/cluster"
-	"qoserve/internal/qos"
 	"qoserve/internal/request"
-	"qoserve/internal/sim"
 )
 
 // CapacityOptions tunes the capacity-planning searches.
@@ -29,7 +27,7 @@ func (o CapacityOptions) search() cluster.SearchOptions {
 	return cluster.SearchOptions{
 		MaxViolations: maxViol,
 		Tolerance:     0.05,
-		HorizonFor:    capacityHorizon,
+		HorizonFor:    cluster.Horizon,
 	}
 }
 
@@ -40,28 +38,9 @@ func (o CapacityOptions) duration() time.Duration {
 	return o.ProbeDuration
 }
 
-// capacityHorizon judges every probe request definitively: last arrival
-// plus the largest applicable SLO.
-func capacityHorizon(trace []*request.Request) sim.Time {
-	var last, maxSLO sim.Time
-	for _, r := range trace {
-		if r.Arrival > last {
-			last = r.Arrival
-		}
-		slo := r.Class.SLO.TTLT
-		if r.Class.Kind == qos.Interactive {
-			slo = r.Class.SLO.TTFT
-		}
-		if slo > maxSLO {
-			maxSLO = slo
-		}
-	}
-	return last + maxSLO + sim.Minute
-}
-
 // probeGen builds the capacity search's trace generator from a workload
 // specification, overriding its rate per probe.
-func probeGen(serve Options, spec WorkloadSpec, dur time.Duration, seed int64) (cluster.TraceGen, error) {
+func probeGen(serve Options, spec WorkloadSpec, dur time.Duration, seed int64) cluster.TraceGen {
 	if len(spec.Classes) == 0 {
 		spec.Classes = serve.Classes
 	}
@@ -88,7 +67,7 @@ func probeGen(serve Options, spec WorkloadSpec, dur time.Duration, seed int64) (
 			trace[i] = ir
 		}
 		return trace, nil
-	}, nil
+	}
 }
 
 // FindMaxGoodput searches for the highest per-replica arrival rate (QPS)
@@ -100,14 +79,11 @@ func FindMaxGoodput(serve Options, spec WorkloadSpec, opts CapacityOptions) (flo
 		return 0, fmt.Errorf("qoserve: goodput search applies to shared deployments")
 	}
 	mc := serve.Hardware.config()
-	factory, err := factoryFor(serve, mc)
+	factory, err := serve.factory(mc)
 	if err != nil {
 		return 0, err
 	}
-	gen, err := probeGen(serve, spec, opts.duration(), opts.Seed)
-	if err != nil {
-		return 0, err
-	}
+	gen := probeGen(serve, spec, opts.duration(), opts.Seed)
 	qps, _, err := cluster.MaxGoodput(mc, factory, gen, opts.search())
 	return qps, err
 }
@@ -123,14 +99,11 @@ func FindMinReplicas(serve Options, spec WorkloadSpec, maxReplicas int, opts Cap
 		maxReplicas = 32
 	}
 	mc := serve.Hardware.config()
-	factory, err := factoryFor(serve, mc)
+	factory, err := serve.factory(mc)
 	if err != nil {
 		return 0, err
 	}
-	gen, err := probeGen(serve, spec, opts.duration(), opts.Seed)
-	if err != nil {
-		return 0, err
-	}
+	gen := probeGen(serve, spec, opts.duration(), opts.Seed)
 	n, _, err := cluster.MinReplicas(mc, factory, func() ([]*request.Request, error) {
 		return gen(spec.QPS)
 	}, maxReplicas, opts.search())

@@ -20,13 +20,9 @@ import (
 
 	"qoserve/internal/cluster"
 	"qoserve/internal/core"
-	"qoserve/internal/experiments"
 	"qoserve/internal/model"
-	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
 	"qoserve/internal/qos"
 	"qoserve/internal/request"
-	"qoserve/internal/sched"
 	"qoserve/internal/workload"
 )
 
@@ -56,15 +52,6 @@ func main() {
 	mc := model.Llama3_8B_A100_TP1()
 	tiers := workload.EqualTiers(qos.Table3())
 
-	samples, err := profile.Collect(mc, profile.Config{Seed: *seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	forest, err := predictor.Train(samples, predictor.ForestConfig{Seed: *seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	gen := func(rate float64) ([]*request.Request, error) {
 		n := int(rate * duration.Seconds())
 		if n < 50 {
@@ -79,40 +66,37 @@ func main() {
 	opts := cluster.SearchOptions{
 		MaxViolations: *maxViol,
 		Tolerance:     0.05,
-		HorizonFor:    experiments.Horizon,
+		HorizonFor:    cluster.Horizon,
 	}
-	factories := []struct {
-		name string
-		f    cluster.SchedulerFactory
-	}{
-		{"Sarathi-FCFS", func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, 256) }},
-		{"Sarathi-EDF", func() sched.Scheduler { return sched.NewSarathi(sched.EDF, 256) }},
-		{"QoServe", func() sched.Scheduler { return core.New(forest, core.DefaultOptions()) }},
-	}
-
-	switch mode {
-	case "goodput":
+	deploy := cluster.Deployment{Model: mc, Seed: *seed, Chunk: 256, QoServe: core.DefaultOptions()}
+	if mode == "goodput" {
 		fmt.Printf("%-14s%16s\n", "Scheduler", "Goodput (QPS)")
-		for _, fc := range factories {
-			rate, _, err := cluster.MaxGoodput(mc, fc.f, gen, opts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("%-14s%16.2f\n", fc.name, rate)
-		}
-	case "replicas":
+	} else {
 		fmt.Printf("Load %.1f QPS on %s, target <=%.1f%% violations\n",
 			*qps, ds.Name, 100**maxViol)
 		fmt.Printf("%-14s%12s\n", "Scheduler", "Replicas")
-		for _, fc := range factories {
-			n, _, err := cluster.MinReplicas(mc, fc.f, func() ([]*request.Request, error) {
-				return gen(*qps)
-			}, *maxReplicas, opts)
-			if err != nil {
-				fmt.Printf("%-14s%12s (%v)\n", fc.name, "-", err)
-				continue
-			}
-			fmt.Printf("%-14s%12d\n", fc.name, n)
+	}
+	for _, policy := range []string{"sarathi-fcfs", "sarathi-edf", "qoserve"} {
+		f, err := deploy.Scheduler(policy)
+		if err != nil {
+			log.Fatal(err)
 		}
+		name := f().Name()
+		if mode == "goodput" {
+			rate, _, err := cluster.MaxGoodput(mc, f, gen, opts)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("%-14s%16.2f\n", name, rate)
+			continue
+		}
+		n, _, err := cluster.MinReplicas(mc, f, func() ([]*request.Request, error) {
+			return gen(*qps)
+		}, *maxReplicas, opts)
+		if err != nil {
+			fmt.Printf("%-14s%12s (%v)\n", name, "-", err)
+			continue
+		}
+		fmt.Printf("%-14s%12d\n", name, n)
 	}
 }

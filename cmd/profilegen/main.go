@@ -25,7 +25,7 @@ func main() {
 	log.SetPrefix("profilegen: ")
 
 	var (
-		hardware = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
+		hardware = flag.String("hardware", "llama3-8b", model.Names())
 		out      = flag.String("out", "", "path to save the trained forest (JSON)")
 		verify   = flag.String("verify", "", "path of a saved forest to validate instead of training")
 		seed     = flag.Int64("seed", 1, "profiling/training seed")
@@ -33,16 +33,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var mc model.Config
-	switch *hardware {
-	case "llama3-8b":
-		mc = model.Llama3_8B_A100_TP1()
-	case "qwen-7b":
-		mc = model.Qwen_7B_A100_TP2()
-	case "llama3-70b":
-		mc = model.Llama3_70B_H100_TP4()
-	default:
-		log.Fatalf("unknown hardware %q", *hardware)
+	mc, err := model.ByName(*hardware)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if *verify != "" {

@@ -31,12 +31,8 @@ import (
 	"qoserve/internal/kvcache"
 	"qoserve/internal/loadgen"
 	"qoserve/internal/model"
-	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
 	"qoserve/internal/qos"
-	"qoserve/internal/sched"
 	"qoserve/internal/server"
-	"qoserve/internal/sim"
 	"qoserve/internal/workload"
 )
 
@@ -45,11 +41,11 @@ func main() {
 	log.SetPrefix("qoserve-loadgen: ")
 
 	var (
-		hardware   = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
-		policyName = flag.String("policy", "sarathi-fcfs", "qoserve | sarathi-fcfs | sarathi-edf | sarathi-srpf | vllm | medha")
+		hardware   = flag.String("hardware", "llama3-8b", model.Names())
+		policyName = flag.String("policy", "sarathi-fcfs", cluster.PolicyNames())
 		chunk      = flag.Int("chunk", 512, "fixed chunk for Sarathi policies")
 		replicas   = flag.Int("replicas", 1, "independent scheduler replicas (serving loops)")
-		balancer   = flag.String("balancer", "round-robin", "replica routing: round-robin | least-loaded | prefix | predicted")
+		balancer   = flag.String("balancer", "round-robin", "replica routing: "+cluster.BalancerNames())
 		streamBuf  = flag.Int("stream-buffer", 256, "per-stream event buffer (events)")
 		timescale  = flag.Float64("timescale", 200, "virtual-time acceleration factor")
 		seed       = flag.Int64("seed", 1, "workload seed; same seed replays the identical request list")
@@ -74,77 +70,19 @@ func main() {
 	)
 	flag.Parse()
 
-	var mc model.Config
-	switch *hardware {
-	case "llama3-8b":
-		mc = model.Llama3_8B_A100_TP1()
-	case "qwen-7b":
-		mc = model.Qwen_7B_A100_TP2()
-	case "llama3-70b":
-		mc = model.Llama3_70B_H100_TP4()
-	default:
-		log.Fatalf("unknown hardware %q", *hardware)
+	mc, err := model.ByName(*hardware)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	// Memoized: the qoserve/medha policies and the predicted balancer all
-	// share one read-only forest.
-	var trained *predictor.Forest
-	trainPredictor := func() *predictor.Forest {
-		if trained != nil {
-			return trained
-		}
-		log.Printf("profiling %s and training the latency predictor ...", mc.Name())
-		samples, err := profile.Collect(mc, profile.Config{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		trained, err = predictor.Train(samples, predictor.ForestConfig{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return trained
+	deploy := cluster.Deployment{Model: mc, Seed: 1, Chunk: *chunk, QoServe: core.DefaultOptions(),
+		PrefixMinMatch: *prefixMin, KVTransferBps: *kvXferGbps * 1e9}
+	factory, err := deploy.Scheduler(*policyName)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	var factory func() sched.Scheduler
-	switch *policyName {
-	case "qoserve":
-		forest := trainPredictor()
-		factory = func() sched.Scheduler { return core.New(forest, core.DefaultOptions()) }
-	case "sarathi-fcfs":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, *chunk) }
-	case "sarathi-edf":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.EDF, *chunk) }
-	case "sarathi-srpf":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, *chunk) }
-	case "vllm":
-		factory = func() sched.Scheduler { return sched.NewVLLM(0) }
-	case "medha":
-		forest := trainPredictor()
-		factory = func() sched.Scheduler { return sched.NewMedha(forest, 50*sim.Millisecond, 0) }
-	default:
-		log.Fatalf("unknown policy %q", *policyName)
-	}
-
-	var lb cluster.GatewayBalancer
-	switch *balancer {
-	case "round-robin":
-		lb = &cluster.AtomicRoundRobin{}
-	case "least-loaded":
-		lb = cluster.LeastLoaded{}
-	case "prefix":
-		lb = &cluster.PrefixAffinity{MinMatchTokens: *prefixMin}
-	case "predicted":
-		pl := &cluster.PredictedLatency{Predictor: trainPredictor()}
-		if *kvXferGbps > 0 {
-			pl.Transfer = &cluster.TransferModel{
-				BytesPerToken: mc.Model.KVBytesPerToken(),
-				BandwidthBps:  *kvXferGbps * 1e9,
-				MinTokens:     *prefixMin,
-			}
-		}
-		lb = pl
-	default:
-		log.Fatalf("unknown balancer %q", *balancer)
+	lb, err := deploy.Balancer(*balancer)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	classes, err := parseMix(*mix,

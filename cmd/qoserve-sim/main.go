@@ -22,6 +22,8 @@ import (
 	"time"
 
 	"qoserve"
+	"qoserve/internal/cluster"
+	"qoserve/internal/model"
 	"qoserve/internal/workload"
 )
 
@@ -37,8 +39,8 @@ func main() {
 		duration    = flag.Duration("duration", 10*time.Minute, "trace duration")
 		lowPrio     = flag.Float64("low-priority", 0, "fraction of requests tagged free-tier")
 		seed        = flag.Int64("seed", 1, "workload seed")
-		policyName  = flag.String("policy", "qoserve", "qoserve | sarathi-fcfs | sarathi-edf | sarathi-sjf | sarathi-srpf | medha")
-		hardware    = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
+		policyName  = flag.String("policy", "qoserve", cluster.PolicyNames())
+		hardware    = flag.String("hardware", "llama3-8b", model.Names())
 		replicas    = flag.Int("replicas", 1, "shared-cluster replica count")
 		chunk       = flag.Int("chunk", 0, "fixed chunk for Sarathi policies (default 256)")
 		alpha       = flag.Duration("alpha", 0, "QoServe hybrid alpha per token (0 = paper default, adaptive)")

@@ -43,12 +43,8 @@ import (
 	"qoserve/internal/core"
 	"qoserve/internal/kvcache"
 	"qoserve/internal/model"
-	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
 	"qoserve/internal/qos"
-	"qoserve/internal/sched"
 	"qoserve/internal/server"
-	"qoserve/internal/sim"
 )
 
 func main() {
@@ -57,8 +53,8 @@ func main() {
 
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		hardware   = flag.String("hardware", "llama3-8b", "llama3-8b | qwen-7b | llama3-70b")
-		policyName = flag.String("policy", "qoserve", "qoserve | sarathi-fcfs | sarathi-edf | sarathi-srpf | vllm | medha")
+		hardware   = flag.String("hardware", "llama3-8b", model.Names())
+		policyName = flag.String("policy", "qoserve", cluster.PolicyNames())
 		timescale  = flag.Float64("timescale", 1, "virtual-time acceleration factor")
 		chunk      = flag.Int("chunk", 256, "fixed chunk for Sarathi policies")
 		traceDepth = flag.Int("trace", 1024, "iterations retained for /debug/trace (0 disables tracing)")
@@ -68,7 +64,7 @@ func main() {
 		prefillN   = flag.Int("prefill-replicas", 0, "disagg prefill-tier size; 0 means (replicas+1)/2")
 		decodeCap  = flag.Int("decode-batch", 0, "disagg decode-tier batch cap; 0 derives it from the strictest TBT SLO")
 		xferGbps   = flag.Float64("transfer-gbps", 0, "disagg prefill->decode KV interconnect (GB/s); 0 means 64 (NVLink-class)")
-		balancer   = flag.String("balancer", "round-robin", "replica routing: round-robin | least-loaded | prefix | predicted")
+		balancer   = flag.String("balancer", "round-robin", "replica routing: "+cluster.BalancerNames())
 		streamBuf  = flag.Int("stream-buffer", 256, "per-stream event buffer (events); slow consumers drop overflow")
 		prefixMin  = flag.Int("prefix-min-match", cluster.DefaultMinMatchTokens, "smallest cached-prefix match (tokens) the prefix balancer chases")
 		kvDRAM     = flag.Int("kv-dram-tokens", 0, "DRAM spill tier per replica (tokens); 0 evicts demoted prefix blocks outright")
@@ -77,82 +73,21 @@ func main() {
 	)
 	flag.Parse()
 
-	var mc model.Config
-	switch *hardware {
-	case "llama3-8b":
-		mc = model.Llama3_8B_A100_TP1()
-	case "qwen-7b":
-		mc = model.Qwen_7B_A100_TP2()
-	case "llama3-70b":
-		mc = model.Llama3_70B_H100_TP4()
-	default:
-		log.Fatalf("unknown hardware %q", *hardware)
+	mc, err := model.ByName(*hardware)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	// Memoized: the qoserve/medha policies and the predicted balancer all
-	// want the same read-only forest, and profiling + training is the
-	// expensive part of startup.
-	var trained *predictor.Forest
-	trainPredictor := func() *predictor.Forest {
-		if trained != nil {
-			return trained
-		}
-		log.Printf("profiling %s and training the latency predictor ...", mc.Name())
-		samples, err := profile.Collect(mc, profile.Config{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		trained, err = predictor.Train(samples, predictor.ForestConfig{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return trained
+	// Each replica gets its own scheduler from the factory; the predicting
+	// policies and balancer share one read-only forest.
+	deploy := cluster.Deployment{Model: mc, Seed: 1, Chunk: *chunk, QoServe: core.DefaultOptions(),
+		PrefixMinMatch: *prefixMin, KVTransferBps: *kvXferGbps * 1e9}
+	factory, err := deploy.Scheduler(*policyName)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	// Each replica needs its own scheduler (policy state must not be
-	// shared), but the trained forest is read-only at predict time, so the
-	// expensive profiling + training happens once and all replicas share
-	// the predictor.
-	var factory func() sched.Scheduler
-	switch *policyName {
-	case "qoserve":
-		forest := trainPredictor()
-		factory = func() sched.Scheduler { return core.New(forest, core.DefaultOptions()) }
-	case "sarathi-fcfs":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, *chunk) }
-	case "sarathi-edf":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.EDF, *chunk) }
-	case "sarathi-srpf":
-		factory = func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, *chunk) }
-	case "vllm":
-		factory = func() sched.Scheduler { return sched.NewVLLM(0) }
-	case "medha":
-		forest := trainPredictor()
-		factory = func() sched.Scheduler { return sched.NewMedha(forest, 50*sim.Millisecond, 0) }
-	default:
-		log.Fatalf("unknown policy %q", *policyName)
-	}
-
-	var lb cluster.GatewayBalancer
-	switch *balancer {
-	case "round-robin":
-		lb = &cluster.AtomicRoundRobin{}
-	case "least-loaded":
-		lb = cluster.LeastLoaded{}
-	case "prefix":
-		lb = &cluster.PrefixAffinity{MinMatchTokens: *prefixMin}
-	case "predicted":
-		pl := &cluster.PredictedLatency{Predictor: trainPredictor()}
-		if *kvXferGbps > 0 {
-			pl.Transfer = &cluster.TransferModel{
-				BytesPerToken: mc.Model.KVBytesPerToken(),
-				BandwidthBps:  *kvXferGbps * 1e9,
-				MinTokens:     *prefixMin,
-			}
-		}
-		lb = pl
-	default:
-		log.Fatalf("unknown balancer %q", *balancer)
+	lb, err := deploy.Balancer(*balancer)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := server.Config{

@@ -5,6 +5,7 @@ import (
 
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
+	"qoserve/internal/qos"
 	"qoserve/internal/request"
 	"qoserve/internal/sim"
 )
@@ -44,6 +45,28 @@ func (o SearchOptions) withDefaults() SearchOptions {
 		o.MaxQPS = 64
 	}
 	return o
+}
+
+// Horizon is the cutoff for judging a trace: by its last arrival plus the
+// largest applicable SLO (TTFT for interactive classes, TTLT for batch
+// ones) plus a minute's margin, every request has either completed or
+// irrevocably missed its deadline, so running longer cannot change any
+// verdict. It is the HorizonFor every capacity search in the repo uses.
+func Horizon(trace []*request.Request) sim.Time {
+	var last, maxSLO sim.Time
+	for _, r := range trace {
+		if r.Arrival > last {
+			last = r.Arrival
+		}
+		slo := r.Class.SLO.TTLT
+		if r.Class.Kind == qos.Interactive {
+			slo = r.Class.SLO.TTFT
+		}
+		if slo > maxSLO {
+			maxSLO = slo
+		}
+	}
+	return last + maxSLO + sim.Minute
 }
 
 // MaxGoodput finds the highest per-replica arrival rate (QPS) a

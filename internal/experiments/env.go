@@ -24,8 +24,6 @@ import (
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
 	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
-	"qoserve/internal/qos"
 	"qoserve/internal/request"
 	"qoserve/internal/sched"
 	"qoserve/internal/sim"
@@ -52,13 +50,12 @@ type Env struct {
 
 	current string // experiment currently running (for CSV naming)
 
-	// mu guards the lazily-populated caches below, which sweep workers may
+	// mu guards the lazily-populated cache below, which sweep workers may
 	// touch concurrently. The expensive computations run outside the lock;
 	// a racing duplicate recomputes the same seeded, deterministic value,
 	// so last-writer-wins is harmless.
 	mu       sync.Mutex
-	preds    map[string]predictor.SafePredictor // guarded by mu
-	capCache map[string]float64                 // guarded by mu
+	capCache map[string]float64 // guarded by mu
 }
 
 // NewEnv builds an environment. scale <= 0 defaults to 0.05 (about 12
@@ -67,35 +64,17 @@ func NewEnv(scale float64, out io.Writer) *Env {
 	if scale <= 0 {
 		scale = 0.05
 	}
-	return &Env{Scale: scale, Seed: 42, Out: out, preds: map[string]predictor.SafePredictor{}}
+	return &Env{Scale: scale, Seed: 42, Out: out}
 }
 
 // Predictor returns the trained random-forest predictor for a model
-// configuration, training it on first use (Section 3.6.1: one profile per
-// model/hardware/parallelism configuration).
+// configuration, seeded by e.Seed and trained on first use (Section 3.6.1:
+// one profile per model/hardware/parallelism configuration).
 func (e *Env) Predictor(mc model.Config) predictor.SafePredictor {
-	e.mu.Lock()
-	p, ok := e.preds[mc.Name()]
-	e.mu.Unlock()
-	if ok {
-		return p
-	}
-	samples, err := profile.Collect(mc, profile.Config{Seed: e.Seed})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: profiling %s: %v", mc.Name(), err))
-	}
-	f, err := predictor.Train(samples, predictor.ForestConfig{Seed: e.Seed})
+	f, err := predictor.Trained(mc, e.Seed)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: training predictor for %s: %v", mc.Name(), err))
 	}
-	e.mu.Lock()
-	if prev, ok := e.preds[mc.Name()]; ok {
-		f0 := prev // another worker trained it first; share theirs
-		e.mu.Unlock()
-		return f0
-	}
-	e.preds[mc.Name()] = f
-	e.mu.Unlock()
 	return f
 }
 
@@ -113,12 +92,6 @@ func (e *Env) QoServeOpts(mc model.Config, opts core.Options) cluster.SchedulerF
 // Sarathi returns a fixed-chunk baseline factory.
 func (e *Env) Sarathi(policy sched.Policy, chunk int) cluster.SchedulerFactory {
 	return func() sched.Scheduler { return sched.NewSarathi(policy, chunk) }
-}
-
-// Medha returns the adaptive-chunking comparison factory (§4.5.1).
-func (e *Env) Medha(mc model.Config, tbt sim.Time) cluster.SchedulerFactory {
-	pred := e.Predictor(mc)
-	return func() sched.Scheduler { return sched.NewMedha(pred, tbt, 4096) }
 }
 
 // PaperDuration is the paper's standard experiment length (§4.1.2: 4-hour
@@ -158,40 +131,19 @@ func (e *Env) TraceGen(ds workload.Dataset, tiers []workload.Tier, seed int64) c
 	}
 }
 
-// Horizon returns the cutoff for judging a trace: every request has either
-// completed or irrevocably missed its deadline by lastArrival + the largest
-// TTLT/TTFT target + a small margin. Running longer cannot change any
-// verdict; unfinished requests past their deadline count as violations.
-func Horizon(trace []*request.Request) sim.Time {
-	var last, maxSLO sim.Time
-	for _, r := range trace {
-		if r.Arrival > last {
-			last = r.Arrival
-		}
-		slo := r.Class.SLO.TTLT
-		if r.Class.Kind == qos.Interactive {
-			slo = r.Class.SLO.TTFT
-		}
-		if slo > maxSLO {
-			maxSLO = slo
-		}
-	}
-	return last + maxSLO + sim.Minute
-}
-
 // searchOpts are the default capacity-search options used throughout.
 func (e *Env) searchOpts() cluster.SearchOptions {
 	return cluster.SearchOptions{
 		MaxViolations: 0.01,
 		Tolerance:     0.1,
 		MaxQPS:        64,
-		HorizonFor:    Horizon,
+		HorizonFor:    cluster.Horizon,
 	}
 }
 
 // RunJudged simulates a shared cluster until the trace's horizon.
 func RunJudged(mc model.Config, n int, factory cluster.SchedulerFactory, trace []*request.Request) (*metrics.Summary, error) {
-	return cluster.RunShared(mc, n, factory, trace, Horizon(trace))
+	return cluster.RunShared(mc, n, factory, trace, cluster.Horizon(trace))
 }
 
 // printf writes a formatted line to the experiment output.

@@ -63,6 +63,10 @@ func runFig15a(e *Env) error {
 	// The two chunk-trace runs and the two goodput searches below are all
 	// independent; overlap the trace runs here.
 	pred := e.Predictor(mc)
+	medha, err := cluster.Deployment{Model: mc, Seed: e.Seed}.Scheduler("medha")
+	if err != nil {
+		return err
+	}
 	var qsvLog []core.ChunkRecord
 	var medhaChunks []int
 	if err := e.parallelDo(
@@ -73,7 +77,7 @@ func runFig15a(e *Env) error {
 			}
 			qsv := core.New(pred, dcOnlyOptions())
 			qsv.EnableChunkLog()
-			if _, _, err := replica.Run(mc, qsv, trace, Horizon(trace)); err != nil {
+			if _, _, err := replica.Run(mc, qsv, trace, cluster.Horizon(trace)); err != nil {
 				return err
 			}
 			qsvLog = qsv.ChunkLog()
@@ -84,7 +88,7 @@ func runFig15a(e *Env) error {
 			if err != nil {
 				return err
 			}
-			medhaChunks, err = medhaChunkTrace(e, mc, trace2)
+			medhaChunks, err = medhaChunkTrace(mc, medha(), trace2)
 			return err
 		},
 	); err != nil {
@@ -115,7 +119,7 @@ func runFig15a(e *Env) error {
 	var medhaSum, dcSum *metrics.Summary
 	if err := e.parallelDo(
 		func() (err error) {
-			medhaQPS, medhaSum, err = cluster.MaxGoodput(mc, e.Medha(mc, 50*sim.Millisecond), gen, opts)
+			medhaQPS, medhaSum, err = cluster.MaxGoodput(mc, medha, gen, opts)
 			return err
 		},
 		func() (err error) {
@@ -132,12 +136,11 @@ func runFig15a(e *Env) error {
 	return nil
 }
 
-// medhaChunkTrace runs the Medha scheduler and records each batch's prefill
-// tokens.
-func medhaChunkTrace(e *Env, mc model.Config, trace []*request.Request) ([]int, error) {
-	m := sched.NewMedha(e.Predictor(mc), 50*sim.Millisecond, 4096)
+// medhaChunkTrace runs the Medha scheduler m and records each batch's
+// prefill tokens.
+func medhaChunkTrace(mc model.Config, m sched.Scheduler, trace []*request.Request) ([]int, error) {
 	rec := &chunkRecorder{inner: m}
-	if _, _, err := replica.Run(mc, rec, trace, Horizon(trace)); err != nil {
+	if _, _, err := replica.Run(mc, rec, trace, cluster.Horizon(trace)); err != nil {
 		return nil, err
 	}
 	return rec.chunks, nil
@@ -272,7 +275,7 @@ func runFig15b(e *Env) error {
 			Replicas: sizes,
 			ChunkFor: func(class string) int { return polyChunk[class] },
 			Policy:   sched.EDF,
-		}, trace, Horizon(trace))
+		}, trace, cluster.Horizon(trace))
 		if err != nil {
 			return mixResult{}, err
 		}
@@ -280,7 +283,7 @@ func runFig15b(e *Env) error {
 		if err != nil {
 			return mixResult{}, err
 		}
-		qsvSum, err := cluster.RunShared(mc, qsvGPUs, qsvFactory, qsvTrace, Horizon(qsvTrace))
+		qsvSum, err := cluster.RunShared(mc, qsvGPUs, qsvFactory, qsvTrace, cluster.Horizon(qsvTrace))
 		if err != nil {
 			return mixResult{}, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"qoserve/internal/cluster"
 	"qoserve/internal/core"
 	"qoserve/internal/model"
 	"qoserve/internal/replica"
@@ -25,7 +26,7 @@ func runFig9(e *Env) error {
 	}
 	qsv := core.New(e.Predictor(mc), core.DefaultOptions())
 	qsv.EnableChunkLog()
-	if _, _, err := replica.Run(mc, qsv, trace, Horizon(trace)); err != nil {
+	if _, _, err := replica.Run(mc, qsv, trace, cluster.Horizon(trace)); err != nil {
 		return err
 	}
 	log := qsv.ChunkLog()

@@ -49,7 +49,7 @@ func runLB(e *Env) error {
 				c.Submit(r)
 			}))
 		}
-		end := engine.RunUntil(Horizon(trace))
+		end := engine.RunUntil(cluster.Horizon(trace))
 		sum := metrics.NewSummary(trace, end, replicas)
 		e.printf("%-16s%16.2f%18.2f%16.2f\n", b.name,
 			100*sum.ViolationRate(metrics.All),

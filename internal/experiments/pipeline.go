@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"qoserve/internal/cluster"
 	"qoserve/internal/core"
 	"qoserve/internal/disagg"
 	"qoserve/internal/metrics"
@@ -65,7 +66,7 @@ func runPipelineExperiment(e *Env) error {
 			DecodeReplicas:    2,
 			StrictestTBT:      50 * sim.Millisecond,
 			TransferBandwidth: link.bw,
-		}, trace, Horizon(trace))
+		}, trace, cluster.Horizon(trace))
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"qoserve/internal/core"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
 	"qoserve/internal/qos"
@@ -39,17 +38,13 @@ func runSessions(e *Env) error {
 
 	e.printf("%-14s%10s%12s%14s%14s%14s\n",
 		"Scheduler", "Turns", "Viol(%)", "TTFT p50(s)", "TTFT p99(s)", "CtxP50(tok)")
-	type row struct {
-		label string
-		mk    func() sched.Scheduler
-	}
-	rows := []row{
-		{"Sarathi-EDF", func() sched.Scheduler { return sched.NewSarathi(sched.EDF, 256) }},
-		{"QoServe", func() sched.Scheduler { return core.New(e.Predictor(mc), core.DefaultOptions()) }},
+	rows := []namedFactory{
+		{"Sarathi-EDF", e.Sarathi(sched.EDF, 256)},
+		{"QoServe", e.QoServe(mc)},
 	}
 	var closedTurnRate float64
 	for _, r := range rows {
-		res, err := session.Run(mc, r.mk(), session.Spec{
+		res, err := session.Run(mc, r.factory(), session.Spec{
 			Profile:    prof,
 			SessionQPS: 0.6,
 			Sessions:   sessions,
@@ -87,8 +82,7 @@ func runSessions(e *Env) error {
 		if err != nil {
 			return err
 		}
-		factory := r.mk
-		sum, err := RunJudged(mc, 1, func() sched.Scheduler { return factory() }, trace)
+		sum, err := RunJudged(mc, 1, r.factory, trace)
 		if err != nil {
 			return err
 		}

@@ -2,13 +2,11 @@ package loadgen
 
 import (
 	"context"
-	"sync"
 	"testing"
 
 	"qoserve/internal/cluster"
 	"qoserve/internal/model"
 	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
 	"qoserve/internal/qos"
 	"qoserve/internal/sched"
 	"qoserve/internal/server"
@@ -41,28 +39,14 @@ func longPrefillSpec() Spec {
 	}
 }
 
-// The scoring forest is read-only at predict time, so the expensive
-// profiling + training happens once for the whole benchmark binary.
-var (
-	benchForestOnce sync.Once
-	benchForest     *predictor.Forest
-	benchForestErr  error
-)
-
+// benchPredictor is the scoring forest, trained once per benchmark binary.
 func benchPredictor(b *testing.B) *predictor.Forest {
 	b.Helper()
-	benchForestOnce.Do(func() {
-		samples, err := profile.Collect(model.Llama3_8B_A100_TP1(), profile.Config{Seed: 1})
-		if err != nil {
-			benchForestErr = err
-			return
-		}
-		benchForest, benchForestErr = predictor.Train(samples, predictor.ForestConfig{Seed: 1})
-	})
-	if benchForestErr != nil {
-		b.Fatal(benchForestErr)
+	f, err := predictor.Trained(model.Llama3_8B_A100_TP1(), 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return benchForest
+	return f
 }
 
 // benchLongPrefill drives the long-prefill workload end to end against a

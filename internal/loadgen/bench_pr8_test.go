@@ -44,8 +44,9 @@ func sessionTransferSpec() Spec {
 // benchSessionTransfer drives the session workload against a 4-replica
 // colocated gateway. A fresh gateway per iteration keeps cache state from
 // leaking between runs; transfer wires the global prefix index plus a
-// 64 GB/s KV interconnect into the config.
-func benchSessionTransfer(b *testing.B, transfer bool, newLB func() cluster.GatewayBalancer) {
+// 64 GB/s KV interconnect into the config. It returns the mean prefix
+// tokens moved over the interconnect per iteration.
+func benchSessionTransfer(b *testing.B, transfer bool, newLB func() cluster.GatewayBalancer) float64 {
 	spec := sessionTransferSpec()
 	var reqs, ttft50, ttft90, ttft99, hit, moved float64
 	b.ResetTimer()
@@ -89,6 +90,7 @@ func benchSessionTransfer(b *testing.B, transfer bool, newLB func() cluster.Gate
 	b.ReportMetric(ttft99/n, "ttft_p99_ms")
 	b.ReportMetric(hit/n, "prefix_hit_tokens")
 	b.ReportMetric(moved/n, "prefix_transfer_tokens")
+	return moved / n
 }
 
 // BenchmarkSessionPrefixAffinityRecompute is the PR 6 baseline: prefix
@@ -103,7 +105,7 @@ func BenchmarkSessionPrefixAffinityRecompute(b *testing.B) {
 // interconnect, so load balance and cache reuse stop trading off.
 func BenchmarkSessionPrefixPredictedTransfer(b *testing.B) {
 	forest := benchPredictor(b)
-	benchSessionTransfer(b, true, func() cluster.GatewayBalancer {
+	moved := benchSessionTransfer(b, true, func() cluster.GatewayBalancer {
 		return &cluster.PredictedLatency{
 			Predictor: forest,
 			Transfer: &cluster.TransferModel{
@@ -112,4 +114,7 @@ func BenchmarkSessionPrefixPredictedTransfer(b *testing.B) {
 			},
 		}
 	})
+	if moved == 0 {
+		b.Fatalf("no prefix tokens moved over the KV interconnect")
+	}
 }

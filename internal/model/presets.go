@@ -1,6 +1,11 @@
 package model
 
-import "qoserve/internal/sim"
+import (
+	"fmt"
+	"strings"
+
+	"qoserve/internal/sim"
+)
 
 // GPU presets matching the paper's hardware (Table 1).
 var (
@@ -77,6 +82,22 @@ func Llama3_70B_H100_TP4() Config {
 func Presets() []Config {
 	return []Config{Llama3_8B_A100_TP1(), Qwen_7B_A100_TP2(), Llama3_70B_H100_TP4()}
 }
+
+// presetNames are ByName's names for Presets(), in the same order.
+var presetNames = []string{"llama3-8b", "qwen-7b", "llama3-70b"}
+
+// ByName resolves a hardware name to its Table 1 configuration.
+func ByName(name string) (Config, error) {
+	for i, n := range presetNames {
+		if n == name {
+			return Presets()[i], nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown hardware %q (want %s)", name, Names())
+}
+
+// Names lists the names ByName accepts as "a | b | c", for flag help.
+func Names() string { return strings.Join(presetNames, " | ") }
 
 func mustConfig(m ModelSpec, g GPUSpec, tp int, eff float64, ovh sim.Time) Config {
 	c, err := NewConfig(m, g, tp, eff, ovh)

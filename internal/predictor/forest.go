@@ -3,6 +3,7 @@ package predictor
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"qoserve/internal/model"
 	"qoserve/internal/profile"
@@ -115,6 +116,38 @@ func Train(samples []profile.Sample, cfg ForestConfig) (*Forest, error) {
 	}
 	f.finalize()
 	return f, nil
+}
+
+// memo holds one *memoEntry per (model name, seed) Trained has seen.
+var memo sync.Map
+
+type memoKey struct {
+	model string
+	seed  int64
+}
+
+type memoEntry struct {
+	once   sync.Once
+	forest *Forest
+	err    error
+}
+
+// Trained profiles mc and trains the default forest with the given seed
+// (Section 3.6.1: one profile per deployment configuration), at most once
+// per (model name, seed) per process. Callers for one key share its forest,
+// which is read-only at predict time; other keys never wait on it.
+func Trained(mc model.Config, seed int64) (*Forest, error) {
+	v, _ := memo.LoadOrStore(memoKey{mc.Name(), seed}, &memoEntry{})
+	t := v.(*memoEntry)
+	t.once.Do(func() {
+		samples, err := profile.Collect(mc, profile.Config{Seed: seed})
+		if err != nil {
+			t.err = err
+			return
+		}
+		t.forest, t.err = Train(samples, ForestConfig{Seed: seed})
+	})
+	return t.forest, t.err
 }
 
 // Predict returns the mean prediction across trees, without the safety

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"qoserve/internal/model"
@@ -327,5 +328,43 @@ func TestLoadRejectsCorruptForests(t *testing.T) {
 		if _, err := Load(strings.NewReader(payload)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestTrainedSharedPerKey checks the process-wide memo: concurrent callers
+// for one (model, seed) share a single forest, and another seed trains its
+// own.
+func TestTrainedSharedPerKey(t *testing.T) {
+	mc := model.Llama3_8B_A100_TP1()
+	const callers = 8
+	got := make([]*Forest, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := Trained(mc, 1)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = f
+		}()
+	}
+	wg.Wait()
+	for i, f := range got {
+		if f == nil || f != got[0] {
+			t.Fatalf("caller %d got forest %p, caller 0 got %p", i, f, got[0])
+		}
+	}
+	other, err := Trained(mc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == got[0] {
+		t.Fatal("seeds 1 and 2 share a forest")
+	}
+	shape := model.BatchShape{Prefill: []model.ChunkShape{{Tokens: 1000}}, DecodeCtx: []int{500, 2000}}
+	if other.Predict(shape) == got[0].Predict(shape) {
+		t.Error("seeds 1 and 2 trained identical forests")
 	}
 }

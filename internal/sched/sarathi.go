@@ -68,9 +68,9 @@ type Sarathi struct {
 }
 
 // NewSarathi returns a Sarathi scheduler with the given ordering policy and
-// per-iteration token budget (DefaultChunk if chunk is 0).
+// per-iteration token budget (DefaultChunk if chunk <= 0).
 func NewSarathi(policy Policy, chunk int) *Sarathi {
-	if chunk == 0 {
+	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
 	return &Sarathi{policy: policy, chunk: chunk, name: "Sarathi-" + policy.String(), est: estimate.NewTracker()}

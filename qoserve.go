@@ -110,18 +110,19 @@ func (h Hardware) String() string {
 	return h.config().Name()
 }
 
+// config indexes model.Presets, which lists Table 1 in the enum's order;
+// out-of-range values mean the default Llama3_8B_A100.
 func (h Hardware) config() model.Config {
-	switch h {
-	case Qwen_7B_2xA100:
-		return model.Qwen_7B_A100_TP2()
-	case Llama3_70B_4xH100:
-		return model.Llama3_70B_H100_TP4()
-	default:
-		return model.Llama3_8B_A100_TP1()
+	presets := model.Presets()
+	if h < 0 || int(h) >= len(presets) {
+		h = Llama3_8B_A100
 	}
+	return presets[h]
 }
 
-// Policy selects the scheduling algorithm.
+// Policy selects the scheduling algorithm. Serve accepts the same names as
+// the command-line tools: the constants below plus "vllm", vanilla vLLM's
+// whole-prompt, prefill-prioritizing baseline.
 type Policy string
 
 // Available policies.
@@ -243,7 +244,8 @@ type Options struct {
 	// (default DefaultClasses()).
 	Classes []Class
 	// Chunk overrides the fixed token budget for Sarathi policies
-	// (default 256) and the TBT target chunk cap for Medha.
+	// (zero or negative means the default 256). Medha's chunk cap is
+	// fixed at 4096.
 	Chunk int
 	// QoServe tunes the QoServe policy.
 	QoServe QoServeTuning

@@ -50,6 +50,7 @@ func TestServeAllPolicies(t *testing.T) {
 	for _, p := range []qoserve.Policy{
 		qoserve.PolicyQoServe, qoserve.PolicySarathiFCFS, qoserve.PolicySarathiEDF,
 		qoserve.PolicySarathiSJF, qoserve.PolicySarathiSRPF, qoserve.PolicyMedha,
+		"vllm",
 	} {
 		report, err := qoserve.Serve(qoserve.Options{Policy: p}, reqs)
 		if err != nil {

@@ -6,12 +6,9 @@ import (
 	"time"
 
 	"qoserve/internal/cluster"
-	"qoserve/internal/core"
 	"qoserve/internal/fault"
 	"qoserve/internal/metrics"
 	"qoserve/internal/model"
-	"qoserve/internal/predictor"
-	"qoserve/internal/profile"
 	"qoserve/internal/qos"
 	"qoserve/internal/request"
 	"qoserve/internal/sched"
@@ -87,58 +84,18 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// predictorCache memoizes trained forests per hardware configuration so
-// repeated Serve calls do not retrain.
-var predictorCache = map[string]predictor.SafePredictor{}
-
-func predictorFor(mc model.Config) (predictor.SafePredictor, error) {
-	if p, ok := predictorCache[mc.Name()]; ok {
-		return p, nil
+// factory builds the options' scheduler from the policy table the binaries
+// share; predicting policies use the seed-1 forest.
+func (o Options) factory(mc model.Config) (cluster.SchedulerFactory, error) {
+	if o.Policy == "" {
+		o.Policy = PolicyQoServe
 	}
-	samples, err := profile.Collect(mc, profile.Config{Seed: 1})
+	d := cluster.Deployment{Model: mc, Seed: 1, Chunk: o.Chunk, QoServe: o.QoServe.options()}
+	f, err := d.Scheduler(string(o.Policy))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("qoserve: %w", err)
 	}
-	f, err := predictor.Train(samples, predictor.ForestConfig{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	predictorCache[mc.Name()] = f
 	return f, nil
-}
-
-// factoryFor builds the scheduler factory for the options.
-func factoryFor(o Options, mc model.Config) (cluster.SchedulerFactory, error) {
-	chunk := o.Chunk
-	if chunk == 0 {
-		chunk = sched.DefaultChunk
-	}
-	switch o.Policy {
-	case PolicyQoServe, "":
-		pred, err := predictorFor(mc)
-		if err != nil {
-			return nil, err
-		}
-		opts := o.QoServe.options()
-		return func() sched.Scheduler { return core.New(pred, opts) }, nil
-	case PolicySarathiFCFS:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.FCFS, chunk) }, nil
-	case PolicySarathiEDF:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.EDF, chunk) }, nil
-	case PolicySarathiSJF:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.SJF, chunk) }, nil
-	case PolicySarathiSRPF:
-		return func() sched.Scheduler { return sched.NewSarathi(sched.SRPF, chunk) }, nil
-	case PolicyMedha:
-		pred, err := predictorFor(mc)
-		if err != nil {
-			return nil, err
-		}
-		tbt := 50 * sim.Millisecond
-		return func() sched.Scheduler { return sched.NewMedha(pred, tbt, 4096) }, nil
-	default:
-		return nil, fmt.Errorf("qoserve: unknown policy %q", o.Policy)
-	}
 }
 
 // Serve simulates the configured deployment serving the requests and
@@ -190,7 +147,7 @@ func Serve(o Options, reqs []Request) (*Report, error) {
 		return trace[i].ID < trace[j].ID
 	})
 
-	horizon := horizonFor(trace)
+	horizon := cluster.Horizon(trace)
 	if o.Horizon > 0 {
 		horizon = sim.FromDuration(o.Horizon)
 	}
@@ -225,7 +182,7 @@ func Serve(o Options, reqs []Request) (*Report, error) {
 			replicas = 1
 		}
 		var factory cluster.SchedulerFactory
-		factory, err = factoryFor(o, mc)
+		factory, err = o.factory(mc)
 		if err != nil {
 			return nil, err
 		}
@@ -287,25 +244,6 @@ func (p FaultPlan) schedule(replicas int, horizon sim.Time) (fault.Schedule, err
 		MTBF:     sim.FromDuration(p.MTBF),
 		MTTR:     sim.FromDuration(p.MTTR),
 	})
-}
-
-// horizonFor judges every request definitively: last arrival plus the
-// largest applicable SLO plus a margin.
-func horizonFor(trace []*request.Request) sim.Time {
-	var last, maxSLO sim.Time
-	for _, r := range trace {
-		if r.Arrival > last {
-			last = r.Arrival
-		}
-		slo := r.Class.SLO.TTLT
-		if r.Class.Kind == qos.Interactive {
-			slo = r.Class.SLO.TTFT
-		}
-		if slo > maxSLO {
-			maxSLO = slo
-		}
-	}
-	return last + maxSLO + sim.Minute
 }
 
 func strictestInteractive(classes map[string]qos.Class) string {
